@@ -32,26 +32,29 @@ This module rebuilds the same simulation for *N* hosts around three ideas:
    is **bit-identical** to ``run_farm`` fed the same substream (dispatch
    log, stats, goodput, and fault digest — differentially tested).
 
-4. **A calendar-queue batched event core** (``run_fleet(core="batched")``,
-   the default).  Every owner leave/return is precomputed in bulk up front
-   (:func:`_plan_owner_timelines` extends the ``FaultRuntime.crash_arrays``
-   planning idea to owner draws: whole 256-wide blocks per host, the family
-   inverse transform vectorized across hosts, one ``np.cumsum`` per chunk —
-   the same left-to-right float additions the lazy scalar path performs).
-   Together with the fault runtime's crash/restart arrays these static
-   events are sorted once (``np.lexsort`` or the ``fleet_event_order`` JIT
-   kernel) and partitioned into fixed-width time buckets; the drain loop
-   walks one bucket's cohort at a time as a presorted list — no per-event
-   ``heappush``/``heappop`` — and only period-end events born inside the
-   current bucket pay a ``bisect.insort``.  Within a bucket events are
-   processed in exact ``(time, prio, seq)`` order, so the core is
-   bit-identical to the heap loop (``core="heap"``, retained as the
-   differential oracle): stats, events processed, completion time, policy
-   trace, committed task order, and fault digest all match across all
-   three policies and every fault class — the cross-core gate in
-   ``repro fleet --quick`` and the hypothesis suites enforce it.  Both
-   cores share one int64 event sequence ``(idx << 32) | epoch`` (checked
-   against overflow) so even exact time/priority ties order identically.
+4. **One set of event handlers, two queues.**  The draconian rules —
+   owner leave, owner return (kills the period in flight), crash, restart,
+   period end (commit or corrupt), and dispatch — are written once, in
+   ``_Rules``; a handler that starts a period returns its end time and
+   leaves queueing it to the event core, so the two cores differ only in
+   their queue.  ``core="batched"`` (the default) precomputes every owner
+   leave/return in bulk (:func:`_plan_owner_timelines` extends the
+   ``FaultRuntime.crash_arrays`` planning idea to owner draws: whole
+   256-wide blocks per host, the family inverse transform vectorized
+   across hosts, one ``np.cumsum`` per chunk — the same left-to-right float
+   additions the lazy path performs), sorts them with the crash/restart
+   arrays once (``np.lexsort`` or the ``fleet_event_order`` JIT kernel)
+   into fixed-width time buckets, and drains one bucket's cohort at a time;
+   only period ends born inside the current bucket pay a ``bisect.insort``.
+   ``core="heap"`` is a ``heapq`` loop over lazy per-host
+   :class:`~repro.now.owner.OwnerProcess` draws, retained as the
+   differential oracle for the precompute and the bucket drain.  Both
+   process events in exact ``(time, prio, seq)`` order on one int64
+   sequence ``(idx << 32) | epoch`` (dispatch checks the epoch against
+   overflow), so they are bit-identical: stats, events processed,
+   completion time, policy trace, committed task order, and fault digest
+   match across all three policies and every fault class — the cross-core
+   gate in ``repro fleet --quick`` and the hypothesis suites enforce it.
 
 Dispatch policies
 -----------------
@@ -143,8 +146,8 @@ _BLOCK = 256  # OwnerProcess's draw-buffer width; must match for bit parity.
 
 # One int64 orders every event: seq = (host idx << 32) | dispatch epoch.
 # Both cores break exact (time, prio) ties with this same key, so their
-# event orders are identical by construction; pushes check the epoch field
-# against overflow instead of trusting an unbounded counter.
+# event orders are identical by construction; dispatch checks the epoch
+# field against overflow instead of trusting an unbounded counter.
 _SEQ_EPOCH_BITS = 32
 _SEQ_EPOCH_MASK = (1 << _SEQ_EPOCH_BITS) - 1
 _MAX_HOSTS = 1 << 30  # keeps seq inside a signed int64 for the JIT kernels
@@ -429,9 +432,9 @@ class _RangePool:
         global mean) seeds the cut with ``remaining budget × inv_mean``
         instead of a binary search.  The fix-up loops converge to the same
         unique cut from *any* starting index, so the result is identical —
-        the batched core passes the hint to drop ``searchsorted`` from its
-        hot path (worst case for wildly mixed durations is a longer linear
-        fix-up walk, never a different answer).
+        both event cores pass the hint to drop ``searchsorted`` from the
+        dispatch path (worst case for wildly mixed durations is a longer
+        linear fix-up walk, never a different answer).
         """
         limit = budget + 1e-12
         cum = self.cum
@@ -519,7 +522,6 @@ class _Host:
     __slots__ = (
         "idx", "key", "c", "speed", "present_mean", "life", "rng", "steal_rng",
         "periods", "n_periods", "sched_idx", "pool",
-        "pres_buf", "pres_n", "abs_buf", "abs_n",
         "returns", "ep_cursor",
         "absent", "crashed", "reclaim_at", "episode_started", "epoch",
         "inflight", "pending_rtt",
@@ -546,10 +548,6 @@ class _Host:
         self.n_periods = len(periods)
         self.sched_idx = 0
         self.pool = pool
-        self.pres_buf = None
-        self.pres_n = 0
-        self.abs_buf = None
-        self.abs_n = 0
         # Batched core: precomputed per-leave reclaim times + cursor.
         self.returns = None
         self.ep_cursor = 0
@@ -577,28 +575,203 @@ class _Host:
         self.steals_succeeded = 0
         self.steal_wait = 0.0
 
-    # OwnerProcess's exact buffering discipline: 256-wide blocks, consumed
-    # from the end, each draw floored at 1e-12 — so the substream is
-    # bit-compatible with run_farm driving an OwnerProcess off the same rng.
-    def next_present(self) -> float:
-        n = self.pres_n
-        if n == 0:
-            self.pres_buf = self.rng.exponential(self.present_mean, size=_BLOCK)
-            n = _BLOCK
-        n -= 1
-        self.pres_n = n
-        v = float(self.pres_buf[n])
-        return v if v > 1e-12 else 1e-12
 
-    def next_absent(self) -> float:
-        n = self.abs_n
-        if n == 0:
-            self.abs_buf = self.life.sample_reclaim_times(self.rng, _BLOCK)
-            n = _BLOCK
-        n -= 1
-        self.abs_n = n
-        v = float(self.abs_buf[n])
-        return v if v > 1e-12 else 1e-12
+class _Rules:
+    """The draconian contract, once for both event cores: the owner's
+    return kills the period in flight (Section 1) and only periods ending
+    before reclaim are credited (eq. (2.1)).  Handlers that may start a
+    period return its end time, or ``None``; the calling core queues it.
+    """
+
+    __slots__ = (
+        "hosts", "n_hosts", "horizon", "runtime", "log", "steal_fraction",
+        "latency", "inv_mean", "min_gap", "pending", "in_flight", "done",
+        "completion_time",
+    )
+
+    def __init__(self, hosts: list, horizon: float,
+                 runtime: Optional[FaultRuntime], log: Optional[list],
+                 steal_fraction: float, latency: bool,
+                 cum: np.ndarray) -> None:
+        self.hosts = hosts
+        self.n_hosts = len(hosts)
+        self.horizon = horizon
+        self.runtime = runtime
+        self.log = log
+        self.steal_fraction = steal_fraction
+        self.latency = latency
+        n_tasks = int(cum.size) - 1
+        # Checkout hint: the workload's mean tasks per unit duration.
+        self.inv_mean = n_tasks / float(cum[-1])
+        # Exact empty-checkout guard: checkout admits its first task iff some
+        # adjacent prefix-sum gap fits the limit, so a budget below the
+        # smallest gap can never take work — skip the call, same result.
+        self.min_gap = float(np.min(np.diff(cum)))
+        self.pending = n_tasks
+        self.in_flight = 0
+        self.done = False
+        self.completion_time = math.nan
+
+    def leave(self, h: _Host, now: float, reclaim_at: float):
+        """The owner leaves: a new episode starts and its first period."""
+        h.absent = True
+        h.reclaim_at = reclaim_at
+        h.episode_started = now
+        h.sched_idx = 0
+        h.pending_rtt = 0.0
+        h.episodes += 1
+        return self.dispatch(h, now)
+
+    def owner_return(self, h: _Host) -> None:
+        if h.inflight is not None:
+            self._kill(h)
+        h.absent = False
+        h.reclaim_at = math.inf
+
+    def crash(self, h: _Host, now: float) -> None:
+        if h.inflight is not None:
+            self._kill(h)
+        h.crashed = True
+        h.crashes += 1
+        self.runtime.log.record(now, "crash", h.key)
+
+    def restart(self, h: _Host, now: float):
+        h.crashed = False
+        self.runtime.log.record(now, "restart", h.key)
+        if h.absent and now < h.reclaim_at and h.inflight is None:
+            return self.dispatch(h, now)
+        return None
+
+    def period_end(self, h: _Host, now: float, epoch: int):
+        """Commit (or void, if corrupted) the period in flight, then start
+        the next one.  Sets ``done`` when the last task commits."""
+        bundle = h.inflight
+        if epoch != h.epoch or bundle is None:
+            return None  # stale epoch: superseded by a kill
+        ranges, work, overhead, n_taken = bundle
+        h.inflight = None
+        self.in_flight -= 1
+        h.overhead_paid += overhead
+        runtime = self.runtime
+        if runtime is not None and runtime.commit_corrupted(h.key, now):
+            h.pool.restore_front(ranges)
+            self.pending += n_taken
+            h.corrupted += 1
+            h.work_lost += work
+        else:
+            h.committed += 1
+            h.tasks_done += n_taken
+            h.work_done += work
+            if self.log is not None:
+                self.log.append(("commit", now, h.key, ranges))
+            if self.pending == 0 and self.in_flight == 0:
+                self.done = True
+                self.completion_time = now
+                return None
+        return self.dispatch(h, now)
+
+    def _kill(self, h: _Host) -> None:
+        """Kill the period in flight: its work is lost, its tasks return."""
+        ranges, work, overhead, n_taken = h.inflight
+        h.pool.restore_front(ranges)
+        self.pending += n_taken
+        h.killed += 1
+        h.work_lost += work
+        h.overhead_paid += overhead
+        h.inflight = None
+        h.epoch += 1
+        self.in_flight -= 1
+        if self.log is not None:
+            self.log.append(("kill", h.key, ranges))
+
+    def _idle(self, h: _Host, now: float) -> None:
+        """Idle out the episode: until reclaim, or the horizon."""
+        until = h.reclaim_at
+        if until > self.horizon:
+            until = self.horizon
+        if until > now:
+            h.idle_absent += until - now
+
+    def dispatch(self, h: _Host, now: float):
+        """Start ``h``'s next period: steal → schedule cursor → checkout →
+        fault fate → in-flight bundle.  Returns the period-end time, or
+        ``None`` when the host idles out the episode instead."""
+        if h.crashed:
+            return None
+        pool = h.pool
+        log = self.log
+        if pool.count == 0:
+            # Steal before consulting the schedule: the schedule cursor must
+            # not advance on an episode the empty pool would have idled, so
+            # an n = 1 fleet consumes exactly run_farm's policy calls.
+            steal_rng = h.steal_rng
+            if steal_rng is None:
+                return self._idle(h, now)
+            h.steals_attempted += 1
+            victim_pos = int(steal_rng.integers(self.n_hosts - 1))
+            if victim_pos >= h.idx:
+                victim_pos += 1
+            victim = self.hosts[victim_pos]
+            victim_pool = victim.pool
+            if victim_pool.count == 0:
+                return self._idle(h, now)
+            stolen, got = victim_pool.steal_tail(
+                math.ceil(victim_pool.count * self.steal_fraction)
+            )
+            pool.extend_back(stolen)
+            h.steals_succeeded += 1
+            if self.latency:
+                h.pending_rtt = h.c
+                h.steal_wait += h.c
+            if log is not None:
+                log.append(("steal", now, h.key, victim.key, got))
+        sched_idx = h.sched_idx
+        planned = h.periods[sched_idx] if sched_idx < h.n_periods else None
+        if log is not None:
+            log.append(("plan", h.key, now - h.episode_started, planned))
+        if planned is None:
+            return self._idle(h, now)
+        h.sched_idx = sched_idx + 1
+        c = h.c
+        if planned <= c:
+            return self._idle(h, now)
+        speed = h.speed
+        # run_farm routes the budget through pack_period's planned-length
+        # arithmetic; replay it literally so the floats agree to the bit.
+        budget = (c + (planned - c) * speed) - c
+        if budget + 1e-12 < self.min_gap:
+            return self._idle(h, now)
+        taken, work, n_taken = pool.checkout(budget, self.inv_mean)
+        if not taken:
+            return self._idle(h, now)
+        c_eff = c
+        extra_delay = 0.0
+        runtime = self.runtime
+        if runtime is not None:
+            fate = runtime.dispatch_fate(h.key, now, c)
+            if fate.lost:
+                pool.restore_front(taken)
+                h.lost += 1
+                return self._idle(h, now)
+            c_eff = fate.c_effective
+            extra_delay = fate.delay
+            if extra_delay > 0.0:
+                h.delayed += 1
+                h.delay_time += extra_delay
+        epoch = h.epoch + 1
+        if epoch > _SEQ_EPOCH_MASK:
+            raise SimulationError(
+                "host dispatch epoch exceeded the 32-bit event-seq field"
+            )
+        self.pending -= n_taken
+        rtt = h.pending_rtt
+        h.pending_rtt = 0.0
+        h.inflight = (taken, work, c_eff, n_taken)
+        h.epoch = epoch
+        self.in_flight += 1
+        if log is not None:
+            log.append(("dispatch", now, h.key, work, c_eff, n_taken))
+        return now + (c_eff + extra_delay + rtt + work / speed)
 
 
 # ----------------------------------------------------------------------
@@ -911,6 +1084,165 @@ def _plan_owner_timelines(
     return empty, empty.astype(np.int64), empty.astype(np.int64)
 
 
+def _drain_heap(rules: _Rules, start_absent: bool, churn: tuple) -> int:
+    """The scalar ``heapq`` core — the differential oracle.
+
+    Owner draws are lazy: each host's :class:`OwnerProcess` buffers its own
+    substream exactly as ``run_farm`` does.  Returns the events processed.
+    """
+    hosts = rules.hosts
+    horizon = rules.horizon
+    runtime = rules.runtime
+    owners = [OwnerProcess.from_life_function(h.life, h.present_mean)
+              for h in hosts]
+    queue = list(zip(*(a.tolist() for a in churn)))
+    for h in hosts:
+        first = 0.0 if start_absent else owners[h.idx].next_present(h.rng)
+        queue.append((first, _OWNER_LEAVES, h.idx << _SEQ_EPOCH_BITS))
+    heapq.heapify(queue)
+    events = 0
+    while queue:
+        time, prio, seq = heapq.heappop(queue)
+        if time > horizon:
+            break
+        events += 1
+        idx = seq >> _SEQ_EPOCH_BITS
+        h = hosts[idx]
+        if prio == _PERIOD_ENDS:
+            t_end = rules.period_end(h, time, seq & _SEQ_EPOCH_MASK)
+            if rules.done:
+                break
+        elif prio == _OWNER_LEAVES:
+            absence = owners[idx].next_absent(h.rng)
+            if runtime is not None:
+                absence *= runtime.absence_scale(h.key, time)
+            reclaim_at = time + absence
+            heapq.heappush(queue, (reclaim_at, _OWNER_RETURNS, seq))
+            t_end = rules.leave(h, time, reclaim_at)
+        elif prio == _OWNER_RETURNS:
+            rules.owner_return(h)
+            heapq.heappush(queue, (time + owners[idx].next_present(h.rng),
+                                   _OWNER_LEAVES, seq))
+            continue
+        elif prio == _WS_CRASH:
+            rules.crash(h, time)
+            continue
+        else:  # _WS_RESTART
+            t_end = rules.restart(h, time)
+        if t_end is not None:
+            heapq.heappush(queue, (t_end, _PERIOD_ENDS,
+                                   (idx << _SEQ_EPOCH_BITS) | h.epoch))
+    return events
+
+
+def _drain_batched(
+    rules: _Rules,
+    spec: FleetSpec,
+    start_absent: bool,
+    churn: tuple,
+    bucket_width: Optional[float],
+    event_order,
+) -> int:
+    """The calendar-queue core: every static event precomputed and sorted
+    once, then drained bucket by bucket.  Returns the events processed.
+    """
+    hosts = rules.hosts
+    horizon = rules.horizon
+    runtime = rules.runtime
+    owner_events = _plan_owner_timelines(
+        spec, hosts, horizon, start_absent, runtime
+    )
+    st_t, st_p, st_s = (np.concatenate(pair)
+                        for pair in zip(owner_events, churn))
+    if event_order is not None:
+        order = event_order(st_t, st_p, st_s)
+    else:
+        order = np.lexsort((st_s, st_p, st_t))
+    st_t = st_t[order]
+    st_p = st_p[order]
+    st_s = st_s[order]
+
+    n_static = int(st_t.size)
+    if bucket_width is None:
+        nb = min(max(n_static // 8, 1), 1 << 16)
+    else:
+        nb = min(max(int(math.ceil(horizon / bucket_width)), 1), 1 << 20)
+    inv_w = nb / horizon
+    if n_static:
+        st_b = np.minimum((st_t * inv_w).astype(np.int64), nb - 1)
+        bounds = np.searchsorted(st_b, np.arange(nb + 1)).tolist()
+    else:
+        bounds = [0] * (nb + 1)
+    dyn: list[list] = [[] for _ in range(nb)]
+
+    events = 0
+    for cur in range(nb):
+        lo_b = bounds[cur]
+        hi_b = bounds[cur + 1]
+        evs = dyn[cur]
+        if hi_b > lo_b:
+            # Materialize this bucket's static cohort only now — keeping
+            # the whole schedule as live tuples would tax every GC pass.
+            merged = list(zip(
+                st_t[lo_b:hi_b].tolist(),
+                st_p[lo_b:hi_b].tolist(),
+                st_s[lo_b:hi_b].tolist(),
+            ))
+            if evs:
+                merged.extend(evs)
+                merged.sort()
+            evs = merged
+        elif evs:
+            evs.sort()
+        else:
+            continue
+        pos = 0
+        n_evs = len(evs)
+        while pos < n_evs:
+            time, prio, seq = evs[pos]
+            pos += 1
+            idx = seq >> _SEQ_EPOCH_BITS
+            h = hosts[idx]
+            if prio == _PERIOD_ENDS:
+                t_end = rules.period_end(h, time, seq & _SEQ_EPOCH_MASK)
+                if t_end is None:
+                    if rules.done:
+                        return events + pos
+                    continue
+            elif prio == _OWNER_LEAVES:
+                if runtime is not None:
+                    # Drift scaling is baked into h.returns; the call
+                    # remains for its drift-log side effect.
+                    runtime.absence_scale(h.key, time)
+                k = h.ep_cursor
+                h.ep_cursor = k + 1
+                t_end = rules.leave(h, time, h.returns[k])
+                if t_end is None:
+                    continue
+            elif prio == _OWNER_RETURNS:
+                rules.owner_return(h)
+                continue
+            elif prio == _WS_CRASH:
+                rules.crash(h, time)
+                continue
+            else:  # _WS_RESTART
+                t_end = rules.restart(h, time)
+                if t_end is None:
+                    continue
+            if t_end <= horizon:
+                ev = (t_end, _PERIOD_ENDS, (idx << _SEQ_EPOCH_BITS) | h.epoch)
+                b = int(t_end * inv_w)
+                if b > cur:
+                    dyn[b if b < nb else nb - 1].append(ev)
+                else:
+                    # Same bucket: keep exact order via a sorted insert
+                    # past the current position (t_end > time).
+                    insort(evs, ev, pos)
+                    n_evs += 1
+        events += pos
+    return events
+
+
 def run_fleet(
     spec: FleetSpec,
     durations: np.ndarray,
@@ -935,13 +1267,14 @@ def run_fleet(
     ``steal_fraction`` is the fraction of a victim's pending tasks taken per
     successful steal (rounded up; default half).
 
-    ``core`` selects the event core: ``"batched"`` (default) drains
+    ``core`` selects the event queue: ``"batched"`` (default) drains
     precomputed calendar-queue buckets, ``"heap"`` is the scalar ``heapq``
-    loop kept as the differential oracle — the two are bit-identical (see
-    the module docstring).  ``bucket_width`` overrides the batched core's
-    bucket span in simulation-time units (default: auto-sized so static
-    events average ~8 per bucket); it is a pure performance knob — results
-    are identical for every width.
+    loop kept as the differential oracle.  Both call the same event
+    handlers, so they are bit-identical (see the module docstring).
+    ``bucket_width`` overrides the batched core's bucket span in
+    simulation-time units (default: auto-sized so static events average ~8
+    per bucket); it is a pure performance knob — results are identical for
+    every width.
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise SimulationError(
@@ -985,7 +1318,6 @@ def run_fleet(
     n_tasks = int(durations.size)
     cum = np.concatenate(([0.0], np.cumsum(durations)))
     stealing = policy != "sharing"
-    latency = policy == "stealing-latency"
 
     checkout_fixup = event_order = None
     if engine == "jit":
@@ -1027,520 +1359,32 @@ def run_fleet(
         )
         for i in range(n_hosts)
     ]
-    key_to_idx = {h.key: h.idx for h in hosts}
 
     runtime: Optional[FaultRuntime] = None
+    churn = (np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))
     if faults is not None:
         runtime = faults.start((h.key for h in hosts), horizon)
-
-    pending_total = n_tasks
-    inflight_count = 0
-    completion_time = math.nan
-    events = 0
-    log: Optional[list] = [] if record_log else None
-
-    if core == "heap":
-        # --------------------------------------------------------------
-        # Heap core: the scalar heapq loop — the differential oracle.
-        # --------------------------------------------------------------
-        heap_q: list[tuple[float, int, int]] = []
-
-        def push(time: float, prio: int, idx: int, epoch: int = 0) -> None:
-            if epoch > _SEQ_EPOCH_MASK:
-                raise SimulationError(
-                    "host dispatch epoch exceeded the 32-bit event-seq field"
-                )
-            heapq.heappush(
-                heap_q, (time, prio, (idx << _SEQ_EPOCH_BITS) | epoch)
-            )
-
-        for h in hosts:
-            if start_absent:
-                push(0.0, _OWNER_LEAVES, h.idx)
-            else:
-                push(h.next_present(), _OWNER_LEAVES, h.idx)
-        if runtime is not None:
-            # Bulk-seed the churn timeline: crash_arrays flattens every
-            # outage in the exact (sorted host, chronological) order
-            # run_farm pushes in.
-            churn_ws, churn_crash, churn_restart = runtime.crash_arrays()
-            for k in range(churn_ws.size):
-                idx = key_to_idx[int(churn_ws[k])]
-                push(float(churn_crash[k]), _WS_CRASH, idx)
-                push(float(churn_restart[k]), _WS_RESTART, idx)
-
-        def idle_until_reclaim(h: _Host, now: float) -> None:
-            h.idle_absent += max(0.0, min(h.reclaim_at, horizon) - now)
-
-        def kill_in_flight(h: _Host) -> None:
-            nonlocal pending_total, inflight_count
-            bundle = h.inflight
-            if bundle is None:
-                return
-            ranges, work, overhead, n_taken = bundle
-            h.pool.restore_front(ranges)
-            pending_total += n_taken
-            h.killed += 1
-            h.work_lost += work
-            h.overhead_paid += overhead
-            h.inflight = None
-            h.epoch += 1
-            inflight_count -= 1
-            if log is not None:
-                log.append(("kill", h.key, ranges))
-
-        def dispatch(h: _Host, now: float) -> None:
-            nonlocal pending_total, inflight_count
-            if h.crashed:
-                return
-            pool = h.pool
-            if pool.count == 0:
-                # Steal before consulting the schedule: the schedule cursor
-                # must not advance on an episode the empty pool would have
-                # idled, so an n = 1 fleet consumes exactly run_farm's
-                # policy calls.
-                if h.steal_rng is not None:
-                    h.steals_attempted += 1
-                    victim_pos = int(h.steal_rng.integers(n_hosts - 1))
-                    if victim_pos >= h.idx:
-                        victim_pos += 1
-                    victim = hosts[victim_pos]
-                    if victim.pool.count > 0:
-                        target = math.ceil(victim.pool.count * steal_fraction)
-                        stolen, got = victim.pool.steal_tail(int(target))
-                        pool.extend_back(stolen)
-                        h.steals_succeeded += 1
-                        if latency:
-                            h.pending_rtt = h.c
-                            h.steal_wait += h.c
-                        if log is not None:
-                            log.append(("steal", now, h.key, victim.key, got))
-                    else:
-                        idle_until_reclaim(h, now)
-                        return
-                else:
-                    idle_until_reclaim(h, now)
-                    return
-            sched_idx = h.sched_idx
-            if sched_idx >= h.n_periods:
-                if log is not None:
-                    log.append(("plan", h.key, now - h.episode_started, None))
-                idle_until_reclaim(h, now)
-                return
-            planned = h.periods[sched_idx]
-            h.sched_idx = sched_idx + 1
-            if log is not None:
-                log.append(("plan", h.key, now - h.episode_started, planned))
-            if planned <= h.c:
-                idle_until_reclaim(h, now)
-                return
-            budget = (planned - h.c) * h.speed
-            # run_farm routes the budget through pack_period's planned-length
-            # arithmetic; replay it literally so the floats agree to the bit.
-            taken, work, n_taken = pool.checkout((h.c + budget) - h.c)
-            if not taken:
-                idle_until_reclaim(h, now)
-                return
-            c_eff = h.c
-            extra_delay = 0.0
-            if runtime is not None:
-                fate = runtime.dispatch_fate(h.key, now, h.c)
-                if fate.lost:
-                    pool.restore_front(taken)
-                    h.lost += 1
-                    idle_until_reclaim(h, now)
-                    return
-                c_eff = fate.c_effective
-                extra_delay = fate.delay
-                if extra_delay > 0.0:
-                    h.delayed += 1
-                    h.delay_time += extra_delay
-            pending_total -= n_taken
-            rtt = h.pending_rtt
-            h.pending_rtt = 0.0
-            wall = c_eff + extra_delay + rtt + work / h.speed
-            h.inflight = (taken, work, c_eff, n_taken)
-            h.epoch += 1
-            inflight_count += 1
-            push(now + wall, _PERIOD_ENDS, h.idx, h.epoch)
-            if log is not None:
-                log.append(("dispatch", now, h.key, work, c_eff, n_taken))
-
-        while heap_q:
-            time, prio, seq = heapq.heappop(heap_q)
-            if time > horizon:
-                break
-            events += 1
-            idx = seq >> _SEQ_EPOCH_BITS
-            h = hosts[idx]
-
-            if prio == _WS_CRASH:
-                kill_in_flight(h)
-                h.crashed = True
-                h.crashes += 1
-                assert runtime is not None
-                runtime.log.record(time, "crash", h.key)
-
-            elif prio == _WS_RESTART:
-                h.crashed = False
-                assert runtime is not None
-                runtime.log.record(time, "restart", h.key)
-                if h.absent and time < h.reclaim_at and h.inflight is None:
-                    dispatch(h, time)
-
-            elif prio == _OWNER_LEAVES:
-                absence = h.next_absent()
-                if runtime is not None:
-                    absence *= runtime.absence_scale(h.key, time)
-                h.absent = True
-                h.reclaim_at = time + absence
-                h.episode_started = time
-                h.sched_idx = 0
-                h.pending_rtt = 0.0
-                h.episodes += 1
-                push(h.reclaim_at, _OWNER_RETURNS, idx)
-                dispatch(h, time)
-
-            elif prio == _OWNER_RETURNS:
-                kill_in_flight(h)
-                h.absent = False
-                h.reclaim_at = math.inf
-                push(time + h.next_present(), _OWNER_LEAVES, idx)
-
-            else:  # _PERIOD_ENDS
-                if (seq & _SEQ_EPOCH_MASK) != h.epoch or h.inflight is None:
-                    continue
-                ranges, work, overhead, n_taken = h.inflight
-                h.inflight = None
-                inflight_count -= 1
-                if runtime is not None and runtime.commit_corrupted(h.key, time):
-                    h.pool.restore_front(ranges)
-                    pending_total += n_taken
-                    h.corrupted += 1
-                    h.work_lost += work
-                    h.overhead_paid += overhead
-                    dispatch(h, time)
-                    continue
-                h.committed += 1
-                h.tasks_done += n_taken
-                h.work_done += work
-                h.overhead_paid += overhead
-                if log is not None:
-                    log.append(("commit", time, h.key, ranges))
-                if pending_total == 0 and math.isnan(completion_time):
-                    if inflight_count == 0:
-                        completion_time = time
-                        break
-                dispatch(h, time)
-
-    else:
-        # --------------------------------------------------------------
-        # Batched core: precomputed static events drained through a
-        # calendar queue of fixed-width time buckets.  Every handler is
-        # inlined — no closure calls, no heap — but processes events in
-        # exactly the heap core's (time, prio, seq) order, so the two
-        # cores are bit-identical (the cross-core differential gate).
-        # --------------------------------------------------------------
-        st_t, st_p, st_s = _plan_owner_timelines(
-            spec, hosts, horizon, start_absent, runtime
+        churn_ws, churn_crash, churn_restart = runtime.crash_arrays()
+        key_to_idx = {h.key: h.idx for h in hosts}
+        seqs = np.array([key_to_idx[int(w)] for w in churn_ws.tolist()],
+                        dtype=np.int64) << _SEQ_EPOCH_BITS
+        # Restarts past the horizon are never processed by either core.
+        alive = churn_restart <= horizon
+        churn = (
+            np.concatenate([churn_crash, churn_restart[alive]]),
+            np.concatenate([np.full(seqs.size, _WS_CRASH, np.int64),
+                            np.full(int(alive.sum()), _WS_RESTART, np.int64)]),
+            np.concatenate([seqs, seqs[alive]]),
         )
-        if runtime is not None:
-            churn_ws, churn_crash, churn_restart = runtime.crash_arrays()
-            if churn_ws.size:
-                cidx = np.array(
-                    [key_to_idx[int(w)] for w in churn_ws], dtype=np.int64
-                )
-                alive = churn_restart <= horizon
-                st_t = np.concatenate(
-                    [st_t, churn_crash, churn_restart[alive]]
-                )
-                st_p = np.concatenate([
-                    st_p,
-                    np.full(cidx.size, _WS_CRASH, np.int64),
-                    np.full(int(alive.sum()), _WS_RESTART, np.int64),
-                ])
-                st_s = np.concatenate([
-                    st_s,
-                    cidx << _SEQ_EPOCH_BITS,
-                    cidx[alive] << _SEQ_EPOCH_BITS,
-                ])
-        if event_order is not None:
-            order = event_order(st_t, st_p, st_s)
-        else:
-            order = np.lexsort((st_s, st_p, st_t))
-        st_t = st_t[order]
-        st_p = st_p[order]
-        st_s = st_s[order]
 
-        n_static = int(st_t.size)
-        if bucket_width is None:
-            nb = min(max(n_static // 8, 1), 1 << 16)
-        else:
-            nb = min(max(int(math.ceil(horizon / bucket_width)), 1), 1 << 20)
-        inv_w = nb / horizon
-        if n_static:
-            st_b = np.minimum((st_t * inv_w).astype(np.int64), nb - 1)
-            bounds = np.searchsorted(st_b, np.arange(nb + 1)).tolist()
-        else:
-            bounds = [0] * (nb + 1)
-        dyn: list[list] = [[] for _ in range(nb)]
-
-        inv_mean = n_tasks / float(cum[-1])
-        # Exact empty-checkout guard: checkout admits its first task iff some
-        # adjacent prefix-sum gap fits the limit, so a budget below the
-        # smallest gap can never take work — skip the call, same result.
-        min_gap = float(np.min(np.diff(cum)))
-        inf = math.inf
-        MASK = _SEQ_EPOCH_MASK
-        stop = False
-        for cur in range(nb):
-            lo_b = bounds[cur]
-            hi_b = bounds[cur + 1]
-            evs = dyn[cur]
-            if hi_b > lo_b:
-                # Materialize this bucket's static cohort only now — keeping
-                # the whole schedule as live tuples would tax every GC pass.
-                merged = list(zip(
-                    st_t[lo_b:hi_b].tolist(),
-                    st_p[lo_b:hi_b].tolist(),
-                    st_s[lo_b:hi_b].tolist(),
-                ))
-                if evs:
-                    merged.extend(evs)
-                    merged.sort()
-                evs = merged
-            elif evs:
-                evs.sort()
-            else:
-                continue
-            pos = 0
-            n_evs = len(evs)
-            while pos < n_evs:
-                time, prio, seq = evs[pos]
-                pos += 1
-                idx = seq >> 32
-                h = hosts[idx]
-
-                if prio == 2:  # _PERIOD_ENDS (hot path)
-                    bundle = h.inflight
-                    if (seq & MASK) != h.epoch or bundle is None:
-                        continue  # stale epoch: superseded by a kill
-                    work = bundle[1]
-                    n_taken = bundle[3]
-                    h.inflight = None
-                    inflight_count -= 1
-                    if runtime is not None and runtime.commit_corrupted(
-                        h.key, time
-                    ):
-                        h.pool.restore_front(bundle[0])
-                        pending_total += n_taken
-                        h.corrupted += 1
-                        h.work_lost += work
-                        h.overhead_paid += bundle[2]
-                    else:
-                        h.committed += 1
-                        h.tasks_done += n_taken
-                        h.work_done += work
-                        h.overhead_paid += bundle[2]
-                        if log is not None:
-                            log.append(("commit", time, h.key, bundle[0]))
-                        if pending_total == 0 \
-                                and completion_time != completion_time:
-                            if inflight_count == 0:
-                                completion_time = time
-                                stop = True
-                                break
-                elif prio == 1:  # _OWNER_LEAVES
-                    if runtime is not None:
-                        # Drift scaling is baked into h.returns; the call
-                        # remains for its drift-log side effect.
-                        runtime.absence_scale(h.key, time)
-                    k = h.ep_cursor
-                    h.ep_cursor = k + 1
-                    h.absent = True
-                    h.reclaim_at = h.returns[k]
-                    h.episode_started = time
-                    h.sched_idx = 0
-                    h.pending_rtt = 0.0
-                    h.episodes += 1
-                elif prio == 0:  # _OWNER_RETURNS
-                    bundle = h.inflight
-                    if bundle is not None:
-                        h.pool.restore_front(bundle[0])
-                        pending_total += bundle[3]
-                        h.killed += 1
-                        h.work_lost += bundle[1]
-                        h.overhead_paid += bundle[2]
-                        h.inflight = None
-                        h.epoch += 1
-                        inflight_count -= 1
-                        if log is not None:
-                            log.append(("kill", h.key, bundle[0]))
-                    h.absent = False
-                    h.reclaim_at = inf
-                    continue
-                elif prio == -1:  # _WS_CRASH
-                    bundle = h.inflight
-                    if bundle is not None:
-                        h.pool.restore_front(bundle[0])
-                        pending_total += bundle[3]
-                        h.killed += 1
-                        h.work_lost += bundle[1]
-                        h.overhead_paid += bundle[2]
-                        h.inflight = None
-                        h.epoch += 1
-                        inflight_count -= 1
-                        if log is not None:
-                            log.append(("kill", h.key, bundle[0]))
-                    h.crashed = True
-                    h.crashes += 1
-                    runtime.log.record(time, "crash", h.key)
-                    continue
-                else:  # _WS_RESTART
-                    h.crashed = False
-                    runtime.log.record(time, "restart", h.key)
-                    if not (h.absent and time < h.reclaim_at
-                            and h.inflight is None):
-                        continue
-
-                # ---- dispatch, inlined (falls through from period-end
-                # commit/corruption, owner leave, and eligible restart) ----
-                if h.crashed:
-                    continue
-                pool = h.pool
-                if pool.count == 0:
-                    srng = h.steal_rng
-                    if srng is None:
-                        ra = h.reclaim_at
-                        if ra > horizon:
-                            ra = horizon
-                        if ra > time:
-                            h.idle_absent += ra - time
-                        continue
-                    h.steals_attempted += 1
-                    victim_pos = int(srng.integers(n_hosts - 1))
-                    if victim_pos >= idx:
-                        victim_pos += 1
-                    victim = hosts[victim_pos]
-                    vpool = victim.pool
-                    if vpool.count > 0:
-                        stolen, got = vpool.steal_tail(
-                            int(math.ceil(vpool.count * steal_fraction))
-                        )
-                        pool.extend_back(stolen)
-                        h.steals_succeeded += 1
-                        if latency:
-                            h.pending_rtt = h.c
-                            h.steal_wait += h.c
-                        if log is not None:
-                            log.append(("steal", time, h.key, victim.key, got))
-                    else:
-                        ra = h.reclaim_at
-                        if ra > horizon:
-                            ra = horizon
-                        if ra > time:
-                            h.idle_absent += ra - time
-                        continue
-                sched_idx = h.sched_idx
-                if sched_idx >= h.n_periods:
-                    if log is not None:
-                        log.append(("plan", h.key, time - h.episode_started,
-                                    None))
-                    ra = h.reclaim_at
-                    if ra > horizon:
-                        ra = horizon
-                    if ra > time:
-                        h.idle_absent += ra - time
-                    continue
-                planned = h.periods[sched_idx]
-                h.sched_idx = sched_idx + 1
-                if log is not None:
-                    log.append(("plan", h.key, time - h.episode_started,
-                                planned))
-                c = h.c
-                if planned <= c:
-                    ra = h.reclaim_at
-                    if ra > horizon:
-                        ra = horizon
-                    if ra > time:
-                        h.idle_absent += ra - time
-                    continue
-                speed = h.speed
-                budget = (planned - c) * speed
-                budget = (c + budget) - c
-                if budget + 1e-12 < min_gap:
-                    ra = h.reclaim_at
-                    if ra > horizon:
-                        ra = horizon
-                    if ra > time:
-                        h.idle_absent += ra - time
-                    continue
-                taken, work, n_taken = pool.checkout(budget, inv_mean)
-                if not taken:
-                    ra = h.reclaim_at
-                    if ra > horizon:
-                        ra = horizon
-                    if ra > time:
-                        h.idle_absent += ra - time
-                    continue
-                c_eff = c
-                extra_delay = 0.0
-                if runtime is not None:
-                    fate = runtime.dispatch_fate(h.key, time, c)
-                    if fate.lost:
-                        pool.restore_front(taken)
-                        h.lost += 1
-                        ra = h.reclaim_at
-                        if ra > horizon:
-                            ra = horizon
-                        if ra > time:
-                            h.idle_absent += ra - time
-                        continue
-                    c_eff = fate.c_effective
-                    extra_delay = fate.delay
-                    if extra_delay > 0.0:
-                        h.delayed += 1
-                        h.delay_time += extra_delay
-                pending_total -= n_taken
-                rtt = h.pending_rtt
-                h.pending_rtt = 0.0
-                wall = c_eff + extra_delay + rtt + work / speed
-                h.inflight = (taken, work, c_eff, n_taken)
-                epoch = h.epoch + 1
-                h.epoch = epoch
-                inflight_count += 1
-                t_end = time + wall
-                if t_end <= horizon:
-                    if epoch > MASK:
-                        raise SimulationError(
-                            "host dispatch epoch exceeded the 32-bit "
-                            "event-seq field"
-                        )
-                    b = int(t_end * inv_w)
-                    if b > cur:
-                        if b >= nb:
-                            b = nb - 1
-                        dyn[b].append((t_end, 2, (idx << 32) | epoch))
-                    else:
-                        # Same bucket: keep exact order via a sorted insert
-                        # past the current position (t_end > time).
-                        insort(evs, (t_end, 2, (idx << 32) | epoch), pos)
-                        n_evs += 1
-                if log is not None:
-                    log.append(("dispatch", time, h.key, work, c_eff,
-                                n_taken))
-            events += pos
-            if stop:
-                break
-
-    # Teardown: in-flight bundles at the cut return without stats.
-    for h in hosts:
-        if h.inflight is not None:
-            ranges, _w, _o, n_taken = h.inflight
-            h.pool.restore_front(ranges)
-            pending_total += n_taken
-            h.inflight = None
-            h.epoch += 1
+    log: Optional[list] = [] if record_log else None
+    rules = _Rules(hosts, horizon, runtime, log, steal_fraction,
+                   policy == "stealing-latency", cum)
+    if core == "heap":
+        events = _drain_heap(rules, start_absent, churn)
+    else:
+        events = _drain_batched(rules, spec, start_absent, churn,
+                                bucket_width, event_order)
 
     gather = lambda name, dtype: np.array([getattr(h, name) for h in hosts],
                                           dtype=dtype)
@@ -1565,7 +1409,7 @@ def run_fleet(
         steal_wait=gather("steal_wait", float),
         tasks_total=n_tasks,
         tasks_completed=int(sum(h.tasks_done for h in hosts)),
-        completion_time=completion_time,
+        completion_time=rules.completion_time,
         horizon=horizon,
         events_processed=events,
         core=core,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,11 +15,14 @@ from repro.analysis.fleetbench import (
     run_policy_comparison,
     scalar_baseline,
 )
+from repro.core.schedule import Schedule
 from repro.exceptions import SimulationError
-from repro.faults import CrashFault, FaultPlan, MessageLossFault
+from repro.faults import CrashFault, FaultPlan, LifeDriftFault, MessageLossFault
+from repro.now import fleet as fleet_module
 from repro.now.fleet import (
     FLEET_CORES,
     FLEET_POLICIES,
+    FleetResult,
     FleetSpec,
     host_network,
     host_rng,
@@ -92,6 +96,137 @@ class TestCrossCore:
         for core in FLEET_CORES:
             result = run_fleet(spec, durations, 50.0, core=core)
             assert result.core == core
+
+
+def _assert_cores_agree(spec, durations, horizon, policy, start_absent,
+                        drift) -> FleetResult:
+    """Run both cores and require every FleetResult field to match."""
+    runs = {}
+    for core in FLEET_CORES:
+        faults = (FaultPlan(seed=spec.seed + 1,
+                            injectors=(LifeDriftFault(0.4, 0.5),))
+                  if drift else None)
+        runs[core] = run_fleet(spec, durations, horizon, policy=policy,
+                               faults=faults, start_absent=start_absent,
+                               record_log=True, core=core)
+    heap, batched = runs["heap"], runs["batched"]
+    for field in dataclasses.fields(FleetResult):
+        if field.name in ("core", "fault_log"):
+            continue
+        a, b = getattr(heap, field.name), getattr(batched, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        elif isinstance(a, float) and math.isnan(a):
+            assert math.isnan(b), field.name
+        else:
+            assert a == b, field.name
+    if drift:
+        assert heap.fault_log.digest() == batched.fault_log.digest()
+    return batched
+
+
+#: (start_absent, drift): each owner-timeline boundary case runs all three.
+_TIMELINE_CASES = [(False, False), (True, False), (False, True)]
+
+
+class TestOwnerTimelineBoundaries:
+    """The batched core's bulk owner-timeline precompute must match the
+    heap core's lazy draws across host chunks and 256-draw block refills."""
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("start_absent,drift", _TIMELINE_CASES)
+    def test_host_chunks(self, monkeypatch, chunk, start_absent, drift):
+        monkeypatch.setattr(fleet_module, "_TIMELINE_CHUNK", chunk)
+        spec = FleetSpec.heterogeneous(
+            7, param_range=(4.0, 16.0), c_range=(0.1, 0.5),
+            present_mean_range=(0.5, 2.0), seed=21,
+        )
+        durations = fleet_workload(7, 64.0, 0.25)
+        result = _assert_cores_agree(spec, durations, 200.0, "stealing",
+                                     start_absent, drift)
+        assert np.all(result.episodes > 10)
+
+    @pytest.mark.parametrize("start_absent,drift", _TIMELINE_CASES)
+    def test_block_refills(self, start_absent, drift):
+        # Short owner cycles over a long horizon: every host draws several
+        # 256-wide presence/absence blocks, and the pool never drains.
+        spec = FleetSpec.homogeneous(3, family="geomdec", param=2.0, c=0.05,
+                                     present_mean=0.25, seed=8)
+        durations = np.full(1 << 16, 0.0625)
+        result = _assert_cores_agree(spec, durations, 1000.0, "sharing",
+                                     start_absent, drift)
+        assert result.episodes.min() > 2 * 256
+        assert not result.finished
+
+
+def _packed_schedule(periods, c: float, speed: float,
+                     duration: float) -> Schedule:
+    """The schedule a dispatch actually runs on identical dyadic tasks.
+
+    Each planned ``t_i`` packs the tasks fitting budget ``(t_i - c) * speed``
+    and then occupies ``c + w_i / speed`` of wall time.  An episode stops at
+    its first period that takes no task.
+    """
+    packed = []
+    for t in periods:
+        if t <= c:
+            break
+        budget = (c + (t - c) * speed) - c
+        k = int(budget // duration)
+        while (k + 1) * duration <= budget + 1e-12:
+            k += 1
+        while k > 0 and k * duration > budget + 1e-12:
+            k -= 1
+        if k == 0:
+            break
+        packed.append(c + k * duration / speed)
+    return Schedule(np.array(packed))
+
+
+class TestPaperAnchor:
+    """Mean committed work per owner episode is eq. (2.1) on the packed
+    schedule: ``E(S'; p) x speed``, for every Section 4 family."""
+
+    N_HOSTS = 48
+    HORIZON = 1500.0
+
+    @pytest.mark.parametrize("family,param,c,d,duration", [
+        ("uniform", 24.0, 1.0, 1, 0.125),
+        ("poly", 24.0, 1.0, 2, 0.125),
+        ("geomdec", 1.2, 0.25, 1, 0.0625),
+        ("geominc", 16.0, 0.1, 1, 0.0625),
+    ])
+    def test_mean_work_per_episode_matches_eq_2_1(self, family, param, c, d,
+                                                  duration):
+        speed = 2.0
+        spec = FleetSpec.homogeneous(self.N_HOSTS, family=family, param=param,
+                                     c=c, present_mean=1.0, speed=speed, d=d,
+                                     seed=17)
+        plan = plan_fleet_schedules(spec)
+        packed = _packed_schedule(plan.schedule(0).periods, c, speed,
+                                  duration)
+        life = fleet_module.host_life(spec, 0)
+        expected = packed.expected_work(life, c) * speed
+        per_episode_max = float(np.sum(packed.periods - c)) * speed
+        in_flight_max = (self.N_HOSTS * float(np.max(packed.periods - c))
+                         * speed / duration)
+        # Twice the mean demand: the shared pool never drains, so no
+        # dispatch comes back empty for want of tasks.
+        episodes = self.HORIZON / (1.0 + life.expected_lifetime())
+        n_tasks = int(2.0 * self.N_HOSTS * episodes * expected / duration
+                      + in_flight_max)
+        result = run_fleet(spec, np.full(n_tasks, duration), self.HORIZON,
+                           policy="sharing", plan=plan)
+        assert result.tasks_completed + in_flight_max < n_tasks
+        assert int(np.sum(result.periods_killed)) > 0
+        per_host = result.work_done / result.episodes
+        mean = float(np.mean(per_host))
+        se = float(np.std(per_host, ddof=1)) / math.sqrt(self.N_HOSTS)
+        # Each host's last episode may be cut by the horizon: it counts in
+        # the denominator but banks between 0 and the whole packed schedule.
+        truncation = per_episode_max / float(np.min(result.episodes))
+        assert abs(mean - expected) <= 4.0 * se + truncation, (
+            mean, expected, se, truncation)
 
 
 class TestFleetSpec:
