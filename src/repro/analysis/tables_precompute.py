@@ -36,13 +36,8 @@ from typing import Any, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from ..core.hetero_recurrence import HeteroBatchResult, generate_schedules_hetero
-from ..core.life_functions import (
-    GeometricDecreasingLifespan,
-    GeometricIncreasingRisk,
-    LifeFunction,
-    PolynomialRisk,
-    UniformRisk,
-)
+from ..core.life_functions import LifeFunction
+from ..core.life_functions.families import FAMILY_TABLE, make
 from ..core.optimizer import optimize_t0_via_recurrence
 from ..core.plancache import LatencyReservoir, PlanCache, default_plan_cache
 from ..core.schedule import Schedule
@@ -80,17 +75,10 @@ def make_family_life(
     family: str, param_value: float, fixed: Optional[Mapping[str, float]] = None
 ) -> LifeFunction:
     """Instantiate a Section 4 family from its table coordinates."""
-    fixed = dict(fixed or ())
-    if family == "uniform":
-        return UniformRisk(param_value)
-    if family == "poly":
-        return PolynomialRisk(int(fixed.get("d", 3.0)), param_value)
-    if family == "geomdec":
-        return GeometricDecreasingLifespan(param_value)
-    if family == "geominc":
-        return GeometricIncreasingRisk(param_value)
-    raise PlanCacheError(f"unknown table family {family!r}; expected one of "
-                         f"{sorted(TABLE_FAMILIES)}")
+    if family not in TABLE_FAMILIES:
+        raise PlanCacheError(f"unknown table family {family!r}; expected one of "
+                             f"{sorted(TABLE_FAMILIES)}")
+    return make(family, param_value, int(dict(fixed or ()).get("d", 3.0)))
 
 
 def default_grids(family: str) -> tuple[FloatArray, FloatArray]:
@@ -760,9 +748,7 @@ class TableServer:
         # corners bound it only up to grid curvature.
         pad = 0.08 * np.maximum(lhi - llo, 0.0) + 1e-6 * lest
         lo = np.maximum(llo - pad, lcs * (1 + 1e-9))
-        hi = lhi + pad
-        if family != "geomdec":  # finite lifespan L = the swept parameter
-            hi = np.minimum(hi, lvs * (1 - 1e-12))
+        hi = np.minimum(lhi + pad, FAMILY_TABLE[family].lifespan(lvs) * (1 - 1e-12))
         t0 = np.minimum(np.maximum(lest, lo), hi)
         # The engine needs strictly productive periods; lanes whose whole
         # bracket collapsed to <= c (lifespan clamp below the overhead)

@@ -103,6 +103,7 @@ import numpy as np
 from . import core
 from .analysis.tables import format_table
 from .analysis.tables_precompute import TABLE_FAMILIES
+from .core.life_functions.families import make
 
 __all__ = ["main", "build_parser", "make_life_function"]
 
@@ -110,17 +111,13 @@ __all__ = ["main", "build_parser", "make_life_function"]
 def make_life_function(args: argparse.Namespace) -> core.LifeFunction:
     """Construct the life function a CLI invocation names."""
     family = args.family
-    if family == "uniform":
-        return core.UniformRisk(_require(args, "lifespan"))
-    if family == "poly":
-        return core.PolynomialRisk(int(_require(args, "d")), _require(args, "lifespan"))
-    if family == "geomdec":
-        return core.GeometricDecreasingLifespan(_require(args, "a"))
-    if family == "geominc":
-        return core.GeometricIncreasingRisk(_require(args, "lifespan"))
     if family == "weibull":
         return core.WeibullLife(k=_require(args, "k"), scale=_require(args, "scale"))
-    raise SystemExit(f"unknown family: {family}")
+    if family not in TABLE_FAMILIES:
+        raise SystemExit(f"unknown family: {family}")
+    param, fixed = TABLE_FAMILIES[family]
+    d = int(_require(args, "d")) if "d" in fixed else 1
+    return make(family, _require(args, "lifespan" if param == "L" else param), d)
 
 
 def _require(args: argparse.Namespace, name: str) -> float:

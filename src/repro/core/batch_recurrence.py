@@ -4,19 +4,21 @@ The scalar engine (:func:`repro.core.recurrence.generate_schedule`) iterates
 system (3.6) for one initial period ``t_0`` at a time — ``O(grid × periods)``
 Python-level steps for a ``t_0`` sweep, which is the dominant cost of the
 paper's search recipe (grid the Theorem 3.2/3.3 bracket, score ``E(S; p)``,
-refine).  This module iterates the same system for an **entire vector of
-``t_0`` candidates simultaneously**:
+refine).  :func:`generate_schedules_batch` iterates the same system for an
+**entire vector of ``t_0`` candidates simultaneously**, through the one lane
+loop of :mod:`repro.core.hetero_recurrence`:
 
-* each candidate occupies one *lane* of a NumPy state block
-  ``(T_{k-1}, t_{k-1}, p(T_{k-1}), E_{so far})``;
-* every recurrence step issues one vectorized ``p(...)`` /
-  ``p.derivative(...)`` / ``p.inverse(...)`` call over the still-alive lanes
-  (with vectorized closed forms for the Section 4 families, mirroring
-  :func:`repro.core.recurrence._closed_form_step`);
-* lanes terminate independently, with the same rules and priority order as
-  the scalar engine (``LIFESPAN_EXHAUSTED``, ``TARGET_NONPOSITIVE``,
-  ``UNPRODUCTIVE``, ``TAIL_NEGLIGIBLE``, ``MAX_PERIODS``), so a whole grid
-  costs ``O(max periods)`` vector operations.
+* a Section 4 family (an exact instance of one of the four classes) runs the
+  table kernel with constant ``(c, θ)`` lanes — the same code path, and so
+  the same bits, as batched serving's mixed-lane sweeps;
+* every other life function (and every family when ``use_closed_form`` is
+  off) runs a generic kernel of vectorized ``p(...)`` /
+  ``p.derivative(...)`` / ``p.inverse(...)`` calls over the still-alive
+  lanes.
+
+Recurrence targets are then reconstructed from the emitted periods and
+expected work rescored with :func:`batch_expected_work`, so a whole grid
+costs ``O(max periods)`` vector operations.
 
 The scalar engine remains the specification: for every lane the batch engine
 must reproduce its periods, boundaries, recurrence targets, and termination
@@ -27,20 +29,16 @@ style of the simulation engines' differential harness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from ..exceptions import InvalidScheduleError
 from ..types import FloatArray
-from .life_functions import (
-    GeometricDecreasingLifespan,
-    GeometricIncreasingRisk,
-    LifeFunction,
-    PolynomialRisk,
-)
+from .hetero_recurrence import _TERMINATION_BY_CODE, generate_schedules_hetero, run_lanes
+from .life_functions import LifeFunction
+from .life_functions.families import family_of
 from .recurrence import RecurrenceOutcome, Termination
 from .schedule import Schedule
 
@@ -49,17 +47,6 @@ __all__ = [
     "generate_schedules_batch",
     "batch_expected_work",
 ]
-
-#: Stable integer codes for per-lane termination bookkeeping.
-_TERMINATION_BY_CODE: tuple[Termination, ...] = (
-    Termination.TARGET_NONPOSITIVE,
-    Termination.UNPRODUCTIVE,
-    Termination.LIFESPAN_EXHAUSTED,
-    Termination.TAIL_NEGLIGIBLE,
-    Termination.MAX_PERIODS,
-)
-_CODE: dict[Termination, int] = {t: i for i, t in enumerate(_TERMINATION_BY_CODE)}
-
 
 @dataclass(frozen=True)
 class BatchRecurrenceResult:
@@ -124,42 +111,6 @@ class BatchRecurrenceResult:
 
 
 # ----------------------------------------------------------------------
-# Vectorized closed-form steps for the Section 4 families
-# ----------------------------------------------------------------------
-
-
-def _batch_closed_form_step(
-    p: LifeFunction, c: float, t_prev: FloatArray, boundary_prev: FloatArray
-) -> Optional[FloatArray]:
-    """Vectorized Section 4 closed form; NaN lanes mean "no next period".
-
-    Mirrors :func:`repro.core.recurrence._closed_form_step` lane-wise;
-    ``None`` means the family has no closed form (use the generic path).
-    """
-    if isinstance(p, PolynomialRisk):
-        if p.d == 1:
-            return t_prev - c
-        ratio = 1.0 + p.d * (t_prev - c) / boundary_prev
-        ok = ratio > 0.0
-        out = np.full_like(t_prev, np.nan)
-        out[ok] = (ratio[ok] ** (1.0 / p.d) - 1.0) * boundary_prev[ok]
-        return out
-    if isinstance(p, GeometricDecreasingLifespan):
-        arg = 1.0 + (c - t_prev) * p.ln_a
-        ok = arg > 0.0
-        out = np.full_like(t_prev, np.nan)
-        out[ok] = -np.log(arg[ok]) / p.ln_a
-        return out
-    if isinstance(p, GeometricIncreasingRisk):
-        arg = (t_prev - c) * math.log(2.0) + 1.0
-        ok = arg > 0.0
-        out = np.full_like(t_prev, np.nan)
-        out[ok] = np.log2(arg[ok])
-        return out
-    return None
-
-
-# ----------------------------------------------------------------------
 # The lane engine
 # ----------------------------------------------------------------------
 
@@ -183,14 +134,18 @@ def generate_schedules_batch(
     number of vector operations over the still-alive lanes instead of one
     Python iteration per lane.
 
-    ``engine="jit"`` runs the compiled lane loop from
-    :mod:`repro.jitkernels` when (a) numba is importable and enabled and
-    (b) ``p`` is one of the Section 4 closed-form families; in every other
-    case it silently runs this NumPy path, so callers may request ``"jit"``
-    unconditionally.  Expected work is rescored with
-    :func:`batch_expected_work` either way, and periods agree with the NumPy
-    engine bit-for-bit except at the transcendental sites documented in
-    :mod:`repro.jitkernels.kernels` (``<= a`` few ULP).
+    An exact Section 4 family class runs the table kernel with constant
+    ``(c, θ)`` lanes through
+    :func:`~repro.core.hetero_recurrence.generate_schedules_hetero`; any
+    other ``p``, or ``use_closed_form=False``, runs the generic
+    p/p'/p^{-1} kernel.  ``engine`` is passed to that hetero call, so
+    ``"jit"`` runs the compiled lane loop from :mod:`repro.jitkernels` when
+    numba is importable and enabled, and silently runs the NumPy loop in
+    every other case; callers may request ``"jit"`` unconditionally.
+    Targets are reconstructed and expected work rescored with
+    :func:`batch_expected_work` either way, and jit periods agree with the
+    NumPy engine bit-for-bit except at the transcendental sites documented
+    in :mod:`repro.jitkernels.kernels` (``<= a`` few ULP).
 
     Raises
     ------
@@ -218,134 +173,54 @@ def generate_schedules_batch(
             f"initial period t0 = {bad} must exceed the overhead c = {c}"
         )
 
-    if engine == "jit":
-        jitted = _generate_batch_jit(p, c, t0_arr, max_periods, tail_tol)
-        if jitted is not None:
-            return jitted
-        # Unmapped family or no usable numba: transparent NumPy fallback.
-
     n = t0_arr.size
-    lifespan = p.lifespan
-    finite_life = math.isfinite(lifespan)
-
-    term = np.full(n, _CODE[Termination.MAX_PERIODS], dtype=np.int8)
-    alive = np.ones(n, dtype=bool)
-    first = t0_arr.copy()
-    if finite_life:
-        # A t0 spanning the whole lifespan earns p(L) = 0; clamp rather than
-        # reject so t0 sweeps remain total (scalar engine's pre-loop rule).
-        clamped = t0_arr >= lifespan
-        if np.any(clamped):
-            first[clamped] = np.minimum(t0_arr[clamped], lifespan)
-            term[clamped] = _CODE[Termination.LIFESPAN_EXHAUSTED]
-            alive[clamped] = False
-
-    sqrt_tail = math.sqrt(tail_tol)
-    edge = lifespan - 1e-15 * lifespan if finite_life else math.inf
-
-    # Compacted live-lane state: ``idx`` maps the compact rows back to lanes;
-    # everything else (previous period, boundary T_{k-1}, p(T_{k-1}), banked
-    # E) lives in dense arrays the vector ops run over directly.  Dead lanes
-    # are dropped by boolean compaction instead of masked out, so per-step
-    # cost tracks the number of *surviving* candidates.
-    idx = np.nonzero(alive)[0]
-    tp = first[idx]
-    b = first[idx]
-    ph = np.asarray(p(b), dtype=float) if idx.size else np.empty(0)
-    e = np.maximum(0.0, tp - c) * ph
-
-    # NaN-padded output buffers, grown geometrically; column k holds period
-    # k+1 (and its recurrence target) for the lanes that reached it.
-    cap = 32
-    periods_buf = np.full((n, cap), np.nan)
-    targets_buf = np.full((n, cap), np.nan)
-    k = 0
-
-    for _ in range(max_periods - 1):
-        if idx.size == 0:
-            break
-        if finite_life:
-            hit = b >= edge
-            if np.any(hit):
-                term[idx[hit]] = _CODE[Termination.LIFESPAN_EXHAUSTED]
-                keep = ~hit
-                idx, tp, b, ph, e = idx[keep], tp[keep], b[keep], ph[keep], e[keep]
-                if idx.size == 0:
-                    break
-
-        target: Optional[FloatArray] = None
-        closed = _batch_closed_form_step(p, c, tp, b) if use_closed_form else None
-        if closed is not None:
-            t_next = closed  # NaN lanes: target non-positive, schedule ends
-        else:
-            target = ph + (tp - c) * np.asarray(p.derivative(b), dtype=float)
-            t_next = np.full(idx.size, np.nan)
-            # target >= p(T_{k-1}) would move the boundary backwards (only for
-            # t_prev < c); emit a zero-length period so the UNPRODUCTIVE rule
-            # fires, exactly as the scalar engine does.
-            t_next[target >= ph] = 0.0
-            inside = (target > 0.0) & (target < ph)
-            if np.any(inside):
-                t_next[inside] = np.asarray(p.inverse(target[inside]), dtype=float) - b[inside]
-
-        nonpositive = np.isnan(t_next)
-        unproductive = ~nonpositive & (t_next <= c)
-        if finite_life:
-            overshoot = ~nonpositive & ~unproductive & (b + t_next > lifespan)
-            surviving = ~(nonpositive | unproductive | overshoot)
-            term[idx[overshoot]] = _CODE[Termination.LIFESPAN_EXHAUSTED]
-        else:
-            surviving = ~(nonpositive | unproductive)
-        term[idx[nonpositive]] = _CODE[Termination.TARGET_NONPOSITIVE]
-        term[idx[unproductive]] = _CODE[Termination.UNPRODUCTIVE]
-        if not np.any(surviving):
-            break
-
-        sidx = idx[surviving]
-        tn = t_next[surviving]
-        if target is None:
-            tgt = ph[surviving] + (tp[surviving] - c) * np.asarray(
-                p.derivative(b[surviving]), dtype=float
-            )
-        else:
-            tgt = target[surviving]
-
-        if k == cap:
-            cap *= 2
-            grown = np.full((n, cap), np.nan)
-            grown[:, : periods_buf.shape[1]] = periods_buf
-            periods_buf = grown
-            grown = np.full((n, cap), np.nan)
-            grown[:, : targets_buf.shape[1]] = targets_buf
-            targets_buf = grown
-        periods_buf[sidx, k] = tn
-        targets_buf[sidx, k] = tgt
-        k += 1
-
-        b = b[surviving] + tn
-        tp = tn
-        ph = np.asarray(p(b), dtype=float)
-        contribution = (tn - c) * ph
-        e = e[surviving] + contribution
-        negligible = (contribution < tail_tol * np.maximum(1.0, e)) & (ph < sqrt_tail)
-        if np.any(negligible):
-            term[sidx[negligible]] = _CODE[Termination.TAIL_NEGLIGIBLE]
-            keep = ~negligible
-            idx, tp, b, ph, e = sidx[keep], tp[keep], b[keep], ph[keep], e[keep]
-        else:
-            idx = sidx
-
-    periods = np.concatenate([first[:, None], periods_buf[:, :k]], axis=1)
-    targets = targets_buf[:, :k]
-    num_periods = 1 + np.sum(~np.isnan(periods[:, 1:]), axis=1)
+    cs = np.full(n, float(c))
+    mapped = family_of(p) if use_closed_form else None
+    if mapped is not None:
+        family, d, theta = mapped
+        lanes = generate_schedules_hetero(
+            family, cs, np.full(n, float(theta)), t0_arr, d=d,
+            max_periods=max_periods, tail_tol=tail_tol, engine=engine,
+        )
+        periods, num_periods, term = lanes.periods, lanes.num_periods, lanes.termination_codes
+    else:
+        periods, num_periods, term, _ = run_lanes(
+            *_generic_kernel(p), cs, np.zeros(n), np.full(n, float(p.lifespan)),
+            t0_arr, max_periods, tail_tol,
+        )
     return BatchRecurrenceResult(
         t0s=t0_arr,
         periods=periods,
         num_periods=num_periods,
         termination_codes=term,
-        targets=targets,
+        targets=_targets_from_periods(p, c, periods),
         expected_work=batch_expected_work(periods, p, c),
     )
+
+
+def _generic_kernel(p: LifeFunction):
+    """The lane-loop kernel for any life function: vectorized p, p', p^{-1}.
+
+    Mirrors the scalar engine's generic step: the recurrence target
+    ``p(T) + (t - c) p'(T)`` is inverted where it lies strictly inside
+    ``(0, p(T))``; a non-positive target ends the schedule (NaN), and a
+    target at or above ``p(T)`` (only for ``t < c``) emits a zero-length
+    period so the UNPRODUCTIVE rule fires.
+    """
+
+    def survival(_theta: FloatArray, t: FloatArray) -> FloatArray:
+        return np.asarray(p(t), dtype=float)
+
+    def step(c, _theta, t_prev, b_prev, p_prev):
+        target = p_prev + (t_prev - c) * np.asarray(p.derivative(b_prev), dtype=float)
+        t_next = np.full(t_prev.size, np.nan)
+        t_next[target >= p_prev] = 0.0
+        inside = (target > 0.0) & (target < p_prev)
+        if np.any(inside):
+            t_next[inside] = np.asarray(p.inverse(target[inside]), dtype=float) - b_prev[inside]
+        return t_next
+
+    return survival, step
 
 
 def _targets_from_periods(
@@ -356,8 +231,8 @@ def _targets_from_periods(
     Column ``k`` of the result is ``p(T_k) + (t_k - c) p'(T_k)`` wherever
     period ``k + 1`` was emitted — exactly the value the NumPy engine records
     in its loop, because boundary accumulation is sequential in both places
-    and ``p`` / ``p.derivative`` are elementwise.  Lets the jit path return
-    full diagnostics without the kernel carrying the life-function object.
+    and ``p`` / ``p.derivative`` are elementwise.  Lets the lane loop (and
+    the compiled kernel) skip recording targets without losing diagnostics.
     """
     n, width = periods.shape
     if width <= 1:
@@ -371,50 +246,6 @@ def _targets_from_periods(
         p.derivative(prev_b), dtype=float
     )
     return targets
-
-
-def _generate_batch_jit(
-    p: LifeFunction,
-    c: float,
-    t0_arr: FloatArray,
-    max_periods: int,
-    tail_tol: float,
-) -> Optional[BatchRecurrenceResult]:
-    """The compiled homogeneous sweep, or ``None`` when it cannot apply.
-
-    A single-``(p, c)`` sweep is the heterogeneous kernel with constant
-    ``c``/θ lanes, so the one compiled loop serves both engines.  Expected
-    work is rescored with :func:`batch_expected_work` (NumPy's pairwise row
-    reduction) so the jit path is score-identical with the NumPy engine
-    rather than only period-identical.
-    """
-    from .. import jitkernels
-
-    if not jitkernels.available():
-        return None
-    mapped = jitkernels.life_family_of(p)
-    if mapped is None:
-        return None
-    fam, d, theta = mapped
-    kern = jitkernels.kernels()
-    n = t0_arr.size
-    periods, num_periods, term, _ = kern.hetero_recurrence(
-        fam,
-        int(d),
-        np.full(n, float(c)),
-        np.full(n, float(theta)),
-        np.ascontiguousarray(t0_arr, dtype=np.float64),
-        int(max_periods),
-        float(tail_tol),
-    )
-    return BatchRecurrenceResult(
-        t0s=t0_arr,
-        periods=periods,
-        num_periods=num_periods,
-        termination_codes=term,
-        targets=_targets_from_periods(p, c, periods),
-        expected_work=batch_expected_work(periods, p, c),
-    )
 
 
 def batch_expected_work(
@@ -443,18 +274,17 @@ def batch_expected_work(
     if engine == "jit":
         from .. import jitkernels
 
-        if jitkernels.available():
-            mapped = jitkernels.life_family_of(p)
-            if mapped is not None:
-                fam, d, theta = mapped
-                n = np.asarray(periods).shape[0]
-                return jitkernels.kernels().expected_work_rows(
-                    np.ascontiguousarray(periods, dtype=np.float64),
-                    fam,
-                    int(d),
-                    np.full(n, float(c)),
-                    np.full(n, float(theta)),
-                )
+        mapped = family_of(p)
+        if mapped is not None and jitkernels.available():
+            fam, d, theta = mapped
+            n = np.asarray(periods).shape[0]
+            return jitkernels.kernels().expected_work_rows(
+                np.ascontiguousarray(periods, dtype=np.float64),
+                jitkernels.family_code(fam),
+                int(d),
+                np.full(n, float(c)),
+                np.full(n, float(theta)),
+            )
     filled = np.where(np.isnan(periods), 0.0, periods)
     boundaries = np.cumsum(filled, axis=1)
     survival = np.asarray(p(boundaries), dtype=float)

@@ -1,40 +1,51 @@
-"""Heterogeneous batch recurrence: system (3.6) over *mixed* ``(c, θ, t0)`` lanes.
+"""The lane engine: system (3.6) over *mixed* ``(c, θ, t0)`` lanes.
 
-:mod:`repro.core.batch_recurrence` vectorizes the Corollary 3.1 recurrence
-over a vector of ``t_0`` candidates that share one life function and one
-overhead — the shape of a single ``t_0`` search.  Batched *serving*
-(:meth:`repro.analysis.tables_precompute.TableServer.query_batch`) needs the
-transpose: thousands of concurrent queries, each with its **own** overhead
-``c`` and family parameter ``θ``, all inside one Section 4 closed-form
-family.  Because the closed-form steps of eqs. (4.1), (4.6), (4.7) and the
-general ``p_{d,L}`` form are arithmetic in ``(c, θ)``, the whole mixed batch
-still advances with one vector operation per recurrence step.
+This module holds the library's one vectorized Corollary 3.1 loop,
+:func:`run_lanes`.  Each ``t_0`` candidate occupies one *lane* of a NumPy
+state block ``(T_{k-1}, t_{k-1}, p(T_{k-1}), E_{so far})`` together with its
+own overhead ``c``, family parameter ``θ`` and lifespan ``L``; every
+recurrence step costs a constant number of vector operations over the
+still-alive lanes, and lanes terminate independently with the scalar
+engine's rules in its priority order (``LIFESPAN_EXHAUSTED``,
+``TARGET_NONPOSITIVE``, ``UNPRODUCTIVE``, ``TAIL_NEGLIGIBLE``,
+``MAX_PERIODS``).  The loop is fed one of two kernels:
+
+* a **table kernel** — the Section 4 closed forms of
+  :data:`repro.core.life_functions.families.FAMILY_TABLE` (eqs. (4.1),
+  (4.6), (4.7) and the general ``p_{d,L}`` form), which are arithmetic in
+  ``(c, θ)``, so a batch mixing thousands of queries still advances with one
+  vector operation per step.  :func:`generate_schedules_hetero` runs this for
+  batched serving and fleet planning, and
+  :func:`repro.core.batch_recurrence.generate_schedules_batch` runs it with
+  constant-``(c, θ)`` lanes for a single ``t_0`` sweep;
+* a **generic kernel** — vectorized ``p`` / ``p'`` / ``p^{-1}`` calls on one
+  life function, which ``generate_schedules_batch`` uses for every other
+  family (and when closed forms are switched off).
 
 Each lane ``i`` of :func:`generate_schedules_hetero` reproduces
 :func:`repro.core.recurrence.generate_schedule` for
-``(make_family_life(family, θ_i), c_i, t0_i)``: the same termination rules in
-the same priority order, the same lifespan clamping, and the same expected
-work ``E(S; p)`` accumulated in the same left-to-right order.  Relative to
-the scalar engine the periods may drift by an ulp where ``libm`` and NumPy's
-ufunc kernels round ``pow`` differently, but every operation is elementwise
-per lane, so an ``n = 1`` call is **bit-identical** to the corresponding lane
-of an ``n = N`` call — the invariant the batched serving parity tests rely
-on (scalar serving entry points are thin ``n = 1`` wrappers over this
-engine, never a separate code path).
-
-Only the four table families are supported; anything else must go through
-the scalar engine.
+``(families.make(family, θ_i, d), c_i, t0_i)``: the same termination rules,
+the same lifespan clamping, and the same expected work ``E(S; p)``
+accumulated in the same left-to-right order.  Relative to the scalar engine
+the periods may drift by an ulp where ``libm`` and NumPy's ufunc kernels
+round differently, but every operation is elementwise per lane, so an
+``n = 1`` call is **bit-identical** to the corresponding lane of an
+``n = N`` call — the invariant the batched serving parity tests rely on
+(scalar serving entry points are thin ``n = 1`` wrappers over this engine,
+never a separate code path).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..exceptions import InvalidScheduleError
 from ..types import FloatArray
+from .life_functions.families import FAMILY_TABLE
 from .recurrence import Termination
 from .schedule import Schedule
 
@@ -42,12 +53,13 @@ __all__ = [
     "HETERO_FAMILIES",
     "HeteroBatchResult",
     "generate_schedules_hetero",
+    "run_lanes",
 ]
 
 #: Families with per-lane vectorized kernels (the Section 4 table families).
-HETERO_FAMILIES = ("uniform", "poly", "geomdec", "geominc")
+HETERO_FAMILIES = tuple(FAMILY_TABLE)
 
-#: Stable integer codes, matching :mod:`repro.core.batch_recurrence`.
+#: Stable per-lane termination codes, shared with the batch engine.
 _TERMINATION_BY_CODE: tuple[Termination, ...] = (
     Termination.TARGET_NONPOSITIVE,
     Termination.UNPRODUCTIVE,
@@ -56,8 +68,6 @@ _TERMINATION_BY_CODE: tuple[Termination, ...] = (
     Termination.MAX_PERIODS,
 )
 _CODE: dict[Termination, int] = {t: i for i, t in enumerate(_TERMINATION_BY_CODE)}
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -90,69 +100,133 @@ class HeteroBatchResult:
 
 
 # ----------------------------------------------------------------------
-# Per-family vectorized kernels (survival + closed-form step)
+# The lane loop
 # ----------------------------------------------------------------------
 
-
-def _survival(family: str, d: int, params: FloatArray, t: FloatArray) -> FloatArray:
-    """Lane-wise ``p(t; θ)``, matching ``LifeFunction.__call__``'s clamping."""
-    if family in ("uniform", "poly"):
-        out = 1.0 - (t / params) ** d
-    elif family == "geomdec":
-        out = np.exp(-np.log(params) * t)
-    elif family == "geominc":
-        denom = -np.expm1(-params * _LN2)
-        out = -np.expm1((t - params) * _LN2) / denom
-    else:  # pragma: no cover - guarded by generate_schedules_hetero
-        raise InvalidScheduleError(f"no heterogeneous kernel for family {family!r}")
-    return np.clip(out, 0.0, 1.0)
+#: ``survival(θ, t)`` -> ``p(t; θ)`` clipped to ``[0, 1]``.
+Survival = Callable[[FloatArray, FloatArray], FloatArray]
+#: ``step(c, θ, t_prev, T_prev, p(T_prev))`` -> next period, NaN = none.
+Step = Callable[[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray], FloatArray]
 
 
-def _step(
-    family: str,
-    d: int,
+def run_lanes(
+    survival: Survival,
+    step: Step,
     cs: FloatArray,
     params: FloatArray,
-    t_prev: FloatArray,
-    boundary_prev: FloatArray,
-) -> FloatArray:
-    """One lane-wise closed-form recurrence step; NaN means "no next period".
+    lifespans: FloatArray,
+    t0s: FloatArray,
+    max_periods: int,
+    tail_tol: float,
+) -> tuple[FloatArray, np.ndarray, np.ndarray, FloatArray]:
+    """Iterate system (3.6) over validated lanes with per-lane ``(c, θ, L, t0)``.
 
-    Mirrors :func:`repro.core.recurrence._closed_form_step` per family, with
-    the scalar parameters ``c`` (and ``a`` for the geometric-decreasing
-    family) promoted to per-lane vectors.
+    ``survival`` and ``step`` are the kernel (see the module docstring).
+    Returns ``(periods, num_periods, termination_codes, expected_work)``:
+    NaN-padded periods of shape ``(n_lanes, max_m)`` and ``E(S; p)``
+    accumulated left to right, as the scalar engine does.
     """
-    if family == "uniform" or (family == "poly" and d == 1):
-        return t_prev - cs  # eq. (4.1)
-    if family == "poly":
-        ratio = 1.0 + d * (t_prev - cs) / boundary_prev
-        ok = ratio > 0.0
-        out = np.full_like(t_prev, np.nan)
-        out[ok] = (ratio[ok] ** (1.0 / d) - 1.0) * boundary_prev[ok]
-        return out
-    if family == "geomdec":
-        ln_a = np.log(params)
-        arg = 1.0 + (cs - t_prev) * ln_a
-        ok = arg > 0.0
-        out = np.full_like(t_prev, np.nan)
-        out[ok] = -np.log(arg[ok]) / ln_a[ok]
-        return out
-    if family == "geominc":
-        arg = (t_prev - cs) * _LN2 + 1.0
-        ok = arg > 0.0
-        out = np.full_like(t_prev, np.nan)
-        out[ok] = np.log2(arg[ok])
-        return out
-    raise InvalidScheduleError(  # pragma: no cover - guarded by caller
-        f"no heterogeneous kernel for family {family!r}"
-    )
+    n = t0s.size
+    finite_life = bool(np.any(np.isfinite(lifespans)))
 
+    term = np.full(n, _CODE[Termination.MAX_PERIODS], dtype=np.int8)
+    alive = np.ones(n, dtype=bool)
+    first = t0s.copy()
+    if finite_life:
+        # A t0 spanning the whole lifespan earns p(L) = 0; clamp rather than
+        # reject so sweeps stay total (scalar engine's pre-loop rule).
+        clamped = t0s >= lifespans
+        if np.any(clamped):
+            first[clamped] = np.minimum(t0s[clamped], lifespans[clamped])
+            term[clamped] = _CODE[Termination.LIFESPAN_EXHAUSTED]
+            alive[clamped] = False
 
-def _lifespans(family: str, params: FloatArray) -> FloatArray:
-    """Per-lane potential lifespans ``L`` (inf for the geometric-decreasing)."""
-    if family == "geomdec":
-        return np.full_like(params, np.inf)
-    return params
+    sqrt_tail = math.sqrt(tail_tol)
+
+    # Compacted live-lane state: ``idx`` maps the compact rows back to lanes;
+    # everything else (previous period, boundary T_{k-1}, per-lane c/θ/L,
+    # p(T_{k-1}), banked E) lives in dense arrays the vector ops run over
+    # directly.  Dead lanes are dropped by boolean compaction instead of
+    # masked out, so per-step cost tracks the number of *surviving* lanes.
+    idx = np.nonzero(alive)[0]
+    tp = first[idx]
+    b = first[idx]
+    lc = cs[idx]
+    lv = params[idx]
+    ll = lifespans[idx]
+    ph = survival(lv, b) if idx.size else np.empty(0)
+    e_full = np.zeros(n)
+    e_full[idx] = np.maximum(0.0, tp - lc) * ph
+    e = e_full[idx]
+
+    # NaN-padded output buffer, grown geometrically; column k holds period
+    # k+1 for the lanes that reached it.
+    cap = 32
+    periods_buf = np.full((n, cap), np.nan)
+    k = 0
+
+    for _ in range(max_periods - 1):
+        if idx.size == 0:
+            break
+        if finite_life:
+            hit = b >= ll - 1e-15 * ll
+            if np.any(hit):
+                term[idx[hit]] = _CODE[Termination.LIFESPAN_EXHAUSTED]
+                keep = ~hit
+                idx, tp, b, lc, lv, ll, ph, e = (
+                    idx[keep], tp[keep], b[keep], lc[keep],
+                    lv[keep], ll[keep], ph[keep], e[keep],
+                )
+                if idx.size == 0:
+                    break
+
+        t_next = step(lc, lv, tp, b, ph)
+        nonpositive = np.isnan(t_next)
+        unproductive = ~nonpositive & (t_next <= lc)
+        if finite_life:
+            overshoot = ~nonpositive & ~unproductive & (b + t_next > ll)
+            surviving = ~(nonpositive | unproductive | overshoot)
+            term[idx[overshoot]] = _CODE[Termination.LIFESPAN_EXHAUSTED]
+        else:
+            surviving = ~(nonpositive | unproductive)
+        term[idx[nonpositive]] = _CODE[Termination.TARGET_NONPOSITIVE]
+        term[idx[unproductive]] = _CODE[Termination.UNPRODUCTIVE]
+        if not np.any(surviving):
+            break
+
+        sidx = idx[surviving]
+        tn = t_next[surviving]
+        if k == cap:
+            cap *= 2
+            grown = np.full((n, cap), np.nan)
+            grown[:, : periods_buf.shape[1]] = periods_buf
+            periods_buf = grown
+        periods_buf[sidx, k] = tn
+        k += 1
+
+        b = b[surviving] + tn
+        tp = tn
+        lc = lc[surviving]
+        lv = lv[surviving]
+        ll = ll[surviving]
+        ph = survival(lv, b)
+        contribution = (tn - lc) * ph
+        e = e[surviving] + contribution
+        e_full[sidx] = e
+        negligible = (contribution < tail_tol * np.maximum(1.0, e)) & (ph < sqrt_tail)
+        if np.any(negligible):
+            term[sidx[negligible]] = _CODE[Termination.TAIL_NEGLIGIBLE]
+            keep = ~negligible
+            idx, tp, b, lc, lv, ll, ph, e = (
+                sidx[keep], tp[keep], b[keep], lc[keep],
+                lv[keep], ll[keep], ph[keep], e[keep],
+            )
+        else:
+            idx = sidx
+
+    periods = np.concatenate([first[:, None], periods_buf[:, :k]], axis=1)
+    num_periods = 1 + np.sum(~np.isnan(periods[:, 1:]), axis=1)
+    return periods, num_periods, term, e_full + 0.0
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +248,7 @@ def generate_schedules_hetero(
 
     ``d`` is the polynomial degree (only read for ``family="poly"``;
     ``"uniform"`` is the ``d = 1`` special case).  Lane ``i`` reproduces
-    ``generate_schedule(make_family_life(family, params[i]), cs[i], t0s[i])``
+    ``generate_schedule(families.make(family, params[i], d), cs[i], t0s[i])``
     period-for-period, with the engine-internal expected work accumulated in
     the scalar engine's left-to-right order.
 
@@ -247,102 +321,17 @@ def generate_schedules_hetero(
             )
         # No usable numba: transparent NumPy fallback.
 
-    n = t0_arr.size
-    lifespans = _lifespans(family, params)
-    finite_life = bool(np.any(np.isfinite(lifespans)))
-
-    term = np.full(n, _CODE[Termination.MAX_PERIODS], dtype=np.int8)
-    alive = np.ones(n, dtype=bool)
-    first = t0_arr.copy()
-    if finite_life:
-        # A t0 spanning the whole lifespan earns p(L) = 0; clamp rather than
-        # reject so serving sweeps stay total (scalar engine's pre-loop rule).
-        clamped = t0_arr >= lifespans
-        if np.any(clamped):
-            first[clamped] = np.minimum(t0_arr[clamped], lifespans[clamped])
-            term[clamped] = _CODE[Termination.LIFESPAN_EXHAUSTED]
-            alive[clamped] = False
-
-    sqrt_tail = math.sqrt(tail_tol)
-
-    # Compacted live-lane state, exactly as in generate_schedules_batch, with
-    # the per-lane (c, θ, L) vectors compacted alongside the recurrence state.
-    idx = np.nonzero(alive)[0]
-    tp = first[idx]
-    b = first[idx]
-    lc = cs[idx]
-    lv = params[idx]
-    ll = lifespans[idx]
-    ph = _survival(family, d, lv, b) if idx.size else np.empty(0)
-    e_full = np.zeros(n)
-    e_full[idx] = np.maximum(0.0, tp - lc) * ph
-    e = e_full[idx]
-
-    cap = 32
-    periods_buf = np.full((n, cap), np.nan)
-    k = 0
-
-    for _ in range(max_periods - 1):
-        if idx.size == 0:
-            break
-        if finite_life:
-            hit = b >= ll - 1e-15 * ll
-            if np.any(hit):
-                term[idx[hit]] = _CODE[Termination.LIFESPAN_EXHAUSTED]
-                keep = ~hit
-                idx, tp, b, lc, lv, ll, ph, e = (
-                    idx[keep], tp[keep], b[keep], lc[keep],
-                    lv[keep], ll[keep], ph[keep], e[keep],
-                )
-                if idx.size == 0:
-                    break
-
-        t_next = _step(family, d, lc, lv, tp, b)
-        nonpositive = np.isnan(t_next)
-        unproductive = ~nonpositive & (t_next <= lc)
-        if finite_life:
-            overshoot = ~nonpositive & ~unproductive & (b + t_next > ll)
-            surviving = ~(nonpositive | unproductive | overshoot)
-            term[idx[overshoot]] = _CODE[Termination.LIFESPAN_EXHAUSTED]
-        else:
-            surviving = ~(nonpositive | unproductive)
-        term[idx[nonpositive]] = _CODE[Termination.TARGET_NONPOSITIVE]
-        term[idx[unproductive]] = _CODE[Termination.UNPRODUCTIVE]
-        if not np.any(surviving):
-            break
-
-        sidx = idx[surviving]
-        tn = t_next[surviving]
-        if k == cap:
-            cap *= 2
-            grown = np.full((n, cap), np.nan)
-            grown[:, : periods_buf.shape[1]] = periods_buf
-            periods_buf = grown
-        periods_buf[sidx, k] = tn
-        k += 1
-
-        b = b[surviving] + tn
-        tp = tn
-        lc = lc[surviving]
-        lv = lv[surviving]
-        ll = ll[surviving]
-        ph = _survival(family, d, lv, b)
-        contribution = (tn - lc) * ph
-        e = e[surviving] + contribution
-        e_full[sidx] = e
-        negligible = (contribution < tail_tol * np.maximum(1.0, e)) & (ph < sqrt_tail)
-        if np.any(negligible):
-            term[sidx[negligible]] = _CODE[Termination.TAIL_NEGLIGIBLE]
-            keep = ~negligible
-            idx, tp, b, lc, lv, ll, ph, e = (
-                sidx[keep], tp[keep], b[keep], lc[keep],
-                lv[keep], ll[keep], ph[keep], e[keep],
-            )
-        else:
-            idx = sidx
-
-    periods = np.concatenate([first[:, None], periods_buf[:, :k]], axis=1)
-    num_periods = 1 + np.sum(~np.isnan(periods[:, 1:]), axis=1)
+    row = FAMILY_TABLE[family]
+    periods, num_periods, term, e_full = run_lanes(
+        lambda theta, t: np.clip(row.survival(d, theta, t), 0.0, 1.0),
+        lambda c, theta, t_prev, b_prev, _p_prev: row.step(d, c, theta, t_prev, b_prev),
+        cs,
+        params,
+        np.asarray(row.lifespan(params), dtype=float),
+        t0_arr,
+        max_periods,
+        tail_tol,
+    )
     return HeteroBatchResult(
         family=family,
         cs=cs,
@@ -351,5 +340,5 @@ def generate_schedules_hetero(
         periods=periods,
         num_periods=num_periods,
         termination_codes=term,
-        expected_work=e_full + 0.0,
+        expected_work=e_full,
     )

@@ -26,11 +26,40 @@ existence experiment:
 All closed-form inverses and derivatives are exact, so the guideline
 recurrence and the Monte-Carlo sampler never fall back to grid inversion for
 these families.
+
+The family table
+----------------
+The four Section 4 families also live in :data:`FAMILY_TABLE`, keyed by their
+table names ``"uniform"``, ``"poly"``, ``"geomdec"`` and ``"geominc"``.  Each
+:class:`FamilyKernels` row holds the family's closed forms as ufunc-style
+functions of the degree ``d`` and a *per-lane* parameter ``θ`` (the lifespan
+``L``, or the risk factor ``a`` for geomdec), broadcasting over ``c``, ``θ``
+and ``t`` alike:
+
+* ``survival(d, θ, t)`` — ``p(t; θ)`` inside the support;
+* ``inverse(d, θ, y)`` — ``p^{-1}(y; θ)``;
+* ``step(d, c, θ, t_prev, T_prev)`` — the closed-form recurrence step of
+  eqs. (4.1), (4.6), (4.7) and the general ``p_{d,L}`` form (NaN where the
+  schedule ends);
+* ``lifespan(θ)`` and ``mean_absence(d, θ)`` — ``L`` and ``E[R] = ∫ p``;
+* ``make(θ, d)`` — the :class:`LifeFunction` instance.
+
+This is the one place these formulas are written for NumPy: the classes'
+``_evaluate`` / ``inverse`` and ``ln_a`` read it (scalar ``θ``), the mixed-lane
+recurrence reads it with ``θ`` per lane, and the fleet reads it with ``θ`` per
+host row, so all of them round identically.  :func:`make` builds a family's
+life function from table coordinates and :func:`family_of` maps an instance
+of an exact family class back to ``(family, d, θ)``.  The scalar oracle
+(:mod:`repro.core.recurrence`) and the compiled mirror
+(:mod:`repro.jitkernels.kernels`) keep their own copies on purpose: they are
+what this table is checked against.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,6 +67,10 @@ from ...types import ArrayLike, FloatArray
 from .base import LifeFunction, Shape
 
 __all__ = [
+    "FAMILY_TABLE",
+    "FamilyKernels",
+    "make",
+    "family_of",
     "UniformRisk",
     "PolynomialRisk",
     "GeometricDecreasingLifespan",
@@ -45,6 +78,90 @@ __all__ = [
     "WeibullLife",
     "ParetoLife",
 ]
+
+
+_LN2 = math.log(2.0)
+
+
+# ----------------------------------------------------------------------
+# Section 4 closed forms, vectorized over per-lane θ (see FAMILY_TABLE)
+# ----------------------------------------------------------------------
+
+
+def _poly_survival(d, L, t):
+    return 1.0 - (t / L) ** d
+
+
+def _poly_inverse(d, L, y):
+    return L * (1.0 - y) ** (1.0 / d)
+
+
+def _poly_step(d, c, L, t_prev, boundary_prev):
+    if d == 1:
+        return t_prev - c  # eq. (4.1)
+    ratio = 1.0 + d * (t_prev - c) / boundary_prev
+    with np.errstate(invalid="ignore"):
+        return np.where(ratio > 0.0, (ratio ** (1.0 / d) - 1.0) * boundary_prev, np.nan)
+
+
+def _poly_mean_absence(d, L):
+    return L * d / (d + 1.0)
+
+
+def _geomdec_survival(d, a, t):
+    return np.exp(-np.log(a) * t)
+
+
+def _geomdec_inverse(d, a, y):
+    with np.errstate(divide="ignore"):
+        return np.where(y > 0, -np.log(np.where(y > 0, y, 1.0)) / np.log(a), np.inf)
+
+
+def _geomdec_step(d, c, a, t_prev, boundary_prev):
+    ln_a = np.log(a)
+    arg = 1.0 + (c - t_prev) * ln_a  # eq. (4.6)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(arg > 0.0, -np.log(arg) / ln_a, np.nan)
+
+
+def _geomdec_lifespan(a):
+    return np.full(np.shape(a), np.inf)
+
+
+def _geomdec_mean_absence(d, a):
+    return 1.0 / np.log(a)
+
+
+def _geominc_denom(L):
+    """``1 - 2^{-L}``, computed stably for large ``L``."""
+    return -np.expm1(-L * _LN2)
+
+
+def _geominc_survival(d, L, t):
+    # (2^L - 2^t) / (2^L - 1) = (1 - 2^{t-L}) / (1 - 2^{-L})
+    return -np.expm1((t - L) * _LN2) / _geominc_denom(L)
+
+
+def _geominc_inverse(d, L, y):
+    # y = (1 - 2^{t-L}) / denom  =>  t = L + log2(1 - y * denom)
+    inner = 1.0 - y * _geominc_denom(L)
+    out = L + np.log(np.maximum(inner, np.finfo(float).tiny)) / _LN2
+    return np.clip(out, 0.0, L)
+
+
+def _geominc_step(d, c, L, t_prev, boundary_prev):
+    arg = (t_prev - c) * _LN2 + 1.0  # eq. (4.7)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(arg > 0.0, np.log2(arg), np.nan)
+
+
+def _geominc_mean_absence(d, L):
+    # ∫0^L (2^L - 2^t) / (2^L - 1) dt = L - 1/ln2 + L / (2^L - 1)
+    return L - 1.0 / _LN2 + L / np.expm1(L * _LN2)
+
+
+def _finite_lifespan(L):
+    return L
 
 
 class PolynomialRisk(LifeFunction):
@@ -69,7 +186,7 @@ class PolynomialRisk(LifeFunction):
         return (("d", float(self.d)), ("L", self._lifespan))
 
     def _evaluate(self, t: FloatArray) -> FloatArray:
-        return 1.0 - (t / self._lifespan) ** self.d
+        return _poly_survival(self.d, self._lifespan, t)
 
     def _derivative(self, t: FloatArray) -> FloatArray:
         d, L = self.d, self._lifespan
@@ -88,7 +205,7 @@ class PolynomialRisk(LifeFunction):
         arr = np.asarray(y, dtype=float)
         if np.any((arr < 0) | (arr > 1)):
             raise ValueError("inverse() requires probabilities in [0, 1]")
-        out = self._lifespan * (1.0 - arr) ** (1.0 / self.d)
+        out = _poly_inverse(self.d, self._lifespan, arr)
         return float(out) if np.ndim(y) == 0 else out
 
     @property
@@ -130,13 +247,15 @@ class GeometricDecreasingLifespan(LifeFunction):
         if a <= 1:
             raise ValueError(f"risk factor a must exceed 1, got {a}")
         self.a = float(a)
-        self.ln_a = math.log(self.a)
+        # The rate every geomdec kernel uses: np.log.  On SIMD NumPy builds
+        # math.log differs from it in the last bit for ~0.25% of a.
+        self.ln_a = float(np.log(self.a))
 
     def _fingerprint_params(self) -> tuple[tuple[str, float], ...]:
         return (("a", self.a),)
 
     def _evaluate(self, t: FloatArray) -> FloatArray:
-        return np.exp(-self.ln_a * t)
+        return _geomdec_survival(1, self.a, t)
 
     def _derivative(self, t: FloatArray) -> FloatArray:
         return -self.ln_a * np.exp(-self.ln_a * t)
@@ -149,8 +268,7 @@ class GeometricDecreasingLifespan(LifeFunction):
         arr = np.asarray(y, dtype=float)
         if np.any((arr < 0) | (arr > 1)):
             raise ValueError("inverse() requires probabilities in [0, 1]")
-        with np.errstate(divide="ignore"):
-            out = np.where(arr > 0, -np.log(np.where(arr > 0, arr, 1.0)) / self.ln_a, np.inf)
+        out = _geomdec_inverse(1, self.a, arr)
         return float(out) if np.ndim(y) == 0 else out
 
     @property
@@ -181,15 +299,13 @@ class GeometricIncreasingRisk(LifeFunction):
         if lifespan <= 0:
             raise ValueError(f"lifespan must be positive, got {lifespan}")
         self._lifespan = float(lifespan)
-        # 1 - 2^{-L}, computed stably for large L.
-        self._denom = -math.expm1(-self._lifespan * math.log(2.0))
+        self._denom = float(_geominc_denom(self._lifespan))
 
     def _fingerprint_params(self) -> tuple[tuple[str, float], ...]:
         return (("L", self._lifespan),)
 
     def _evaluate(self, t: FloatArray) -> FloatArray:
-        # (1 - 2^{t-L}) / (1 - 2^{-L})
-        return -np.expm1((t - self._lifespan) * math.log(2.0)) / self._denom
+        return _geominc_survival(1, self._lifespan, t)
 
     def _derivative(self, t: FloatArray) -> FloatArray:
         ln2 = math.log(2.0)
@@ -205,11 +321,7 @@ class GeometricIncreasingRisk(LifeFunction):
         arr = np.asarray(y, dtype=float)
         if np.any((arr < 0) | (arr > 1)):
             raise ValueError("inverse() requires probabilities in [0, 1]")
-        ln2 = math.log(2.0)
-        # y = (1 - 2^{t-L}) / denom  =>  t = L + log2(1 - y * denom)
-        inner = 1.0 - arr * self._denom
-        out = self._lifespan + np.log(np.maximum(inner, np.finfo(float).tiny)) / ln2
-        out = np.clip(out, 0.0, self._lifespan)
+        out = _geominc_inverse(1, self._lifespan, arr)
         return float(out) if np.ndim(y) == 0 else out
 
     @property
@@ -320,3 +432,77 @@ class ParetoLife(LifeFunction):
 
     def __repr__(self) -> str:
         return f"ParetoLife(d={self.d})"
+
+
+# ----------------------------------------------------------------------
+# The family table
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FamilyKernels:
+    """One Section 4 family's closed forms, vectorized over per-lane ``θ``.
+
+    Every function broadcasts like a ufunc; ``d`` is the polynomial degree
+    (read only by the polynomial kernels).  ``survival`` is unclipped, as
+    :meth:`LifeFunction._evaluate` is; ``step`` returns NaN on lanes whose
+    recurrence target is non-positive (the schedule ends there).
+    """
+
+    survival: Callable[..., FloatArray]  # (d, θ, t)
+    inverse: Callable[..., FloatArray]  # (d, θ, y)
+    step: Callable[..., FloatArray]  # (d, c, θ, t_prev, T_prev)
+    lifespan: Callable[..., FloatArray]  # (θ)
+    mean_absence: Callable[..., FloatArray]  # (d, θ)
+    make: Callable[[float, int], LifeFunction]  # (θ, d)
+
+
+_POLY = dict(survival=_poly_survival, inverse=_poly_inverse, step=_poly_step,
+             lifespan=_finite_lifespan, mean_absence=_poly_mean_absence)
+
+#: The Section 4 families by table name; ``"uniform"`` is ``"poly"`` at d = 1.
+FAMILY_TABLE: dict[str, FamilyKernels] = {
+    "uniform": FamilyKernels(**_POLY, make=lambda L, d: UniformRisk(L)),
+    "poly": FamilyKernels(**_POLY, make=lambda L, d: PolynomialRisk(d, L)),
+    "geomdec": FamilyKernels(
+        _geomdec_survival, _geomdec_inverse, _geomdec_step, _geomdec_lifespan,
+        _geomdec_mean_absence, lambda a, d: GeometricDecreasingLifespan(a),
+    ),
+    "geominc": FamilyKernels(
+        _geominc_survival, _geominc_inverse, _geominc_step, _finite_lifespan,
+        _geominc_mean_absence, lambda L, d: GeometricIncreasingRisk(L),
+    ),
+}
+
+
+def make(family: str, theta: float, d: int = 1) -> LifeFunction:
+    """The life function of table family ``family`` at parameter ``θ``.
+
+    ``d`` is read only by ``"poly"``.  Raises ``ValueError`` on a name
+    outside :data:`FAMILY_TABLE`.
+    """
+    row = FAMILY_TABLE.get(family)
+    if row is None:
+        raise ValueError(
+            f"unknown Section 4 family {family!r}; expected one of {sorted(FAMILY_TABLE)}"
+        )
+    return row.make(float(theta), int(d))
+
+
+def family_of(p: object) -> Optional[tuple[str, int, float]]:
+    """Map ``p`` onto its table coordinates ``(family, d, θ)``; ``None`` if unmapped.
+
+    Exact types only: a subclass may override evaluation, so it takes the
+    generic p/p'/p^{-1} paths, as do Weibull, Pareto and fitted or
+    transformed functions.
+    """
+    kind = type(p)
+    if kind is UniformRisk:
+        return "uniform", 1, p.lifespan
+    if kind is PolynomialRisk:
+        return "poly", p.d, p.lifespan
+    if kind is GeometricDecreasingLifespan:
+        return "geomdec", 1, p.a
+    if kind is GeometricIncreasingRisk:
+        return "geominc", 1, p.lifespan
+    return None

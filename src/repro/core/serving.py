@@ -804,7 +804,10 @@ class PlanServer:
             if family == "uniform":
                 return uniform_bracket(param_value, c).lo
             if family == "poly":
-                return polynomial_bracket(3, param_value, c).lo
+                from ..analysis.tables_precompute import TABLE_FAMILIES  # deferred
+
+                d = int(TABLE_FAMILIES["poly"][1]["d"])
+                return polynomial_bracket(d, param_value, c).lo
             if family == "geomdec":
                 return geometric_decreasing_bracket(param_value, c).hi
             if family == "geominc":

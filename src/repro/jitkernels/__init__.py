@@ -54,7 +54,6 @@ __all__ = [
     "kernels",
     "numba_cache_dir",
     "family_code",
-    "life_family_of",
     "FAM_POLY",
     "FAM_GEOMDEC",
     "FAM_GEOMINC",
@@ -218,29 +217,3 @@ def family_code(family: str) -> int:
             f"family {family!r} has no JIT kernel; expected one of "
             f"{sorted(_FAMILY_CODES)}"
         ) from None
-
-
-def life_family_of(p: object) -> Optional[tuple[int, int, float]]:
-    """Map a life function onto ``(family_code, d, θ)``; ``None`` if unmapped.
-
-    Only the Section 4 closed-form families have kernels: polynomial risk
-    (``θ = L``, including uniform as ``d = 1``), geometric-decreasing
-    lifespan (``θ = a``), and geometric-increasing risk (``θ = L``).
-    Everything else — Weibull, Pareto, fitted/transformed functions — runs
-    the NumPy engines.
-    """
-    from ..core.life_functions import (  # deferred: core imports this package
-        GeometricDecreasingLifespan,
-        GeometricIncreasingRisk,
-        PolynomialRisk,
-        UniformRisk,
-    )
-
-    if type(p) is GeometricDecreasingLifespan:
-        return FAM_GEOMDEC, 1, p.a
-    if type(p) is GeometricIncreasingRisk:
-        return FAM_GEOMINC, 1, p.lifespan
-    if type(p) in (PolynomialRisk, UniformRisk):
-        # Exact types only: a subclass may override evaluation semantics.
-        return FAM_POLY, p.d, p.lifespan
-    return None

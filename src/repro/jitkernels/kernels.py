@@ -34,9 +34,9 @@ import math
 import numpy as np
 from numba import njit
 
-#: Termination codes, identical to ``_TERMINATION_BY_CODE`` in both batch
-#: engines: (TARGET_NONPOSITIVE, UNPRODUCTIVE, LIFESPAN_EXHAUSTED,
-#: TAIL_NEGLIGIBLE, MAX_PERIODS).
+#: Termination codes, identical to ``_TERMINATION_BY_CODE`` in
+#: :mod:`repro.core.hetero_recurrence`: (TARGET_NONPOSITIVE, UNPRODUCTIVE,
+#: LIFESPAN_EXHAUSTED, TAIL_NEGLIGIBLE, MAX_PERIODS).
 TERM_TARGET_NONPOSITIVE = 0
 TERM_UNPRODUCTIVE = 1
 TERM_LIFESPAN_EXHAUSTED = 2

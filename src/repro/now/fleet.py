@@ -103,13 +103,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.hetero_recurrence import HETERO_FAMILIES, generate_schedules_hetero
-from ..core.life_functions import (
-    GeometricDecreasingLifespan,
-    GeometricIncreasingRisk,
-    LifeFunction,
-    PolynomialRisk,
-    UniformRisk,
-)
+from ..core.life_functions import LifeFunction
+from ..core.life_functions.families import FAMILY_TABLE, make
 from ..core.schedule import Schedule
 from ..core.t0_bounds import family_bracket_batch
 from ..exceptions import SimulationError
@@ -141,7 +136,6 @@ __all__ = [
 FLEET_POLICIES = ("sharing", "stealing", "stealing-latency")
 FLEET_CORES = ("batched", "heap")
 
-_LN2 = math.log(2.0)
 _BLOCK = 256  # OwnerProcess's draw-buffer width; must match for bit parity.
 
 # One int64 orders every event: seq = (host idx << 32) | dispatch epoch.
@@ -160,16 +154,6 @@ _HETERO_RANGES = {
     "geomdec": ((1.02, 1.5), (0.1, 1.0)),
     "geominc": ((10.0, 120.0), (0.25, 2.0)),
 }
-
-
-def _make_life(family: str, value: float, d: int) -> LifeFunction:
-    if family == "uniform":
-        return UniformRisk(value)
-    if family == "poly":
-        return PolynomialRisk(d, value)
-    if family == "geomdec":
-        return GeometricDecreasingLifespan(value)
-    return GeometricIncreasingRisk(value)
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +285,7 @@ def host_rng(spec: FleetSpec, i: int) -> np.random.Generator:
 
 def host_life(spec: FleetSpec, i: int) -> LifeFunction:
     """Host ``i``'s life function, materialized from the SoA parameters."""
-    return _make_life(spec.family, float(spec.params[i]), spec.d)
+    return make(spec.family, float(spec.params[i]), spec.d)
 
 
 def host_network(spec: FleetSpec, i: int) -> Network:
@@ -364,8 +348,7 @@ def plan_fleet_schedules(
     lo, hi = family_bracket_batch(spec.family, spec.cs, spec.params, spec.d)
     # Clamp into the engine's validity window: c < t0 (< L for finite life).
     lo = np.maximum(lo, spec.cs * (1.0 + 1e-9) + 1e-12)
-    if spec.family != "geomdec":
-        hi = np.minimum(hi, spec.params * (1.0 - 1e-12))
+    hi = np.minimum(hi, FAMILY_TABLE[spec.family].lifespan(spec.params) * (1.0 - 1e-12))
     hi = np.maximum(hi, lo)
     fracs = np.linspace(0.0, 1.0, grid)
     t0_grid = lo[:, None] + fracs[None, :] * (hi - lo)[:, None]
@@ -903,40 +886,6 @@ def _fleet_kernels():
     return k.fleet_checkout_fixup, k.fleet_event_order
 
 
-def _absence_inverse(
-    family: str, d: int, lives: list, u: np.ndarray
-) -> np.ndarray:
-    """Vectorized ``LifeFunction.inverse`` across one chunk of hosts.
-
-    ``u`` has shape ``(hosts, draws)``; row ``i`` holds host ``i``'s uniform
-    block.  Applies the family's closed-form inverse transform with per-host
-    parameters broadcast down the rows — the identical elementwise ufunc
-    chain each :meth:`LifeFunction.inverse` performs, so every value is
-    bit-equal to the per-host scalar path (the cross-core suite pins this).
-    """
-    m = u.shape[0]
-    if family in ("uniform", "poly"):
-        L = np.empty((m, 1))
-        for r in range(m):
-            L[r, 0] = lives[r].lifespan
-        return L * (1.0 - u) ** (1.0 / d)
-    if family == "geomdec":
-        ln_a = np.empty((m, 1))
-        for r in range(m):
-            ln_a[r, 0] = lives[r].ln_a
-        with np.errstate(divide="ignore"):
-            return np.where(u > 0, -np.log(np.where(u > 0, u, 1.0)) / ln_a,
-                            np.inf)
-    # geominc: t = L + log2(1 - u * (1 - 2^{-L})), clipped into [0, L].
-    L = np.empty((m, 1))
-    for r in range(m):
-        L[r, 0] = lives[r].lifespan
-    denom = -np.expm1(-L * _LN2)
-    inner = 1.0 - u * denom
-    out = L + np.log(np.maximum(inner, np.finfo(float).tiny)) / _LN2
-    return np.clip(out, 0.0, L)
-
-
 def _plan_owner_timelines(
     spec: FleetSpec,
     hosts: list,
@@ -975,7 +924,7 @@ def _plan_owner_timelines(
         drift_at, drift_scale = runtime.drift_params()
     else:
         drift_at, drift_scale = math.inf, 1.0
-    family, d = spec.family, spec.d
+    inverse, d = FAMILY_TABLE[spec.family].inverse, spec.d
     out_t: list[np.ndarray] = []
     out_p: list[np.ndarray] = []
     out_s: list[np.ndarray] = []
@@ -998,7 +947,11 @@ def _plan_owner_timelines(
                     h = act[r]
                     P[r] = h.rng.exponential(h.present_mean, _BLOCK)
                     U[r] = h.rng.uniform(0.0, 1.0, _BLOCK)
-            A = _absence_inverse(family, d, [h.life for h in act], U)
+            # The family's inverse transform, θ broadcast down the rows:
+            # the ufunc chain each host's LifeFunction.inverse performs, so
+            # every value is bit-equal to the heap core's per-host draws.
+            theta = spec.params[[h.idx for h in act]][:, None]
+            A = inverse(d, theta, U)
             # Blocks are consumed from the end, each value floored at 1e-12.
             P = P[:, ::-1]
             A = A[:, ::-1]
@@ -1346,7 +1299,7 @@ def run_fleet(
     for p in spec.params.tolist():
         lf = life_cache.get(p)
         if lf is None:
-            lf = life_cache[p] = _make_life(spec.family, p, spec.d)
+            lf = life_cache[p] = make(spec.family, p, spec.d)
         lives.append(lf)
     hosts = [
         _Host(
@@ -1423,18 +1376,6 @@ def run_fleet(
 # ----------------------------------------------------------------------
 
 
-def _mean_absence(family: str, params: np.ndarray, d: int) -> np.ndarray:
-    """``E[R] = ∫ p(t) dt`` per host, in closed form per Section 4 family."""
-    if family == "uniform":
-        return params / 2.0
-    if family == "poly":
-        return params * d / (d + 1.0)
-    if family == "geomdec":
-        return 1.0 / np.log(params)
-    # geominc: ∫0^L (2^{L-t} - 1) / (2^L - 1) dt = 1/ln2 - L / (2^L - 1).
-    return 1.0 / _LN2 - params / np.expm1(params * _LN2)
-
-
 def mean_field_fleet(
     spec: FleetSpec,
     plan: FleetPlan,
@@ -1459,7 +1400,7 @@ def mean_field_fleet(
         raise SimulationError(
             f"unknown fleet policy {policy!r}; expected one of {FLEET_POLICIES}"
         )
-    cycle = spec.present_means + _mean_absence(spec.family, spec.params, spec.d)
+    cycle = spec.present_means + FAMILY_TABLE[spec.family].mean_absence(spec.d, spec.params)
     availability = 1.0
     if faults is not None:
         crash = faults.get(CrashFault)

@@ -1,4 +1,5 @@
-"""Per-family checks: closed-form values, derivatives, inverses, sampling."""
+"""Per-family checks: closed-form values, derivatives, inverses, sampling,
+and the Section 4 family table the classes and the batch engines share."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from repro.core.life_functions import (
     UniformRisk,
     WeibullLife,
 )
+from repro.core.life_functions.families import FAMILY_TABLE, family_of, make
 from repro.exceptions import SupportError
 
 
@@ -240,3 +242,58 @@ def test_sampling_matches_survival(factory, rng):
         t = float(p.inverse(q))
         empirical = float(np.mean(samples > t))
         assert empirical == pytest.approx(q, abs=4.5 * math.sqrt(q * (1 - q) / n))
+
+
+class TestFamilyTable:
+    """``FAMILY_TABLE``: the one vectorized home of the Section 4 closed forms."""
+
+    #: (family, θ, d) per table family; θ is L, or a for geomdec.
+    CASES = [("uniform", 120.0, 1), ("poly", 80.0, 3), ("geomdec", 1.3, 1),
+             ("geominc", 16.0, 1)]
+
+    def test_family_of_maps_section4_families(self):
+        assert family_of(UniformRisk(100.0)) == ("uniform", 1, 100.0)
+        assert family_of(PolynomialRisk(3, 50.0)) == ("poly", 3, 50.0)
+        assert family_of(GeometricDecreasingLifespan(1.25)) == ("geomdec", 1, 1.25)
+        assert family_of(GeometricIncreasingRisk(30.0)) == ("geominc", 1, 30.0)
+        # Non-family and *subclassed* life functions must not map: a subclass
+        # may override evaluation semantics the table knows nothing about.
+        assert family_of(WeibullLife(1.5, 100.0)) is None
+
+        class Tweaked(UniformRisk):
+            pass
+
+        assert family_of(Tweaked(100.0)) is None
+
+    @pytest.mark.parametrize("family,theta,d", CASES)
+    def test_make_round_trips_through_family_of(self, family, theta, d):
+        assert family_of(make(family, theta, d)) == (family, d, theta)
+
+    def test_make_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown Section 4 family"):
+            make("weibull", 1.0)
+
+    @pytest.mark.parametrize("family,theta,d", CASES)
+    def test_mean_absence_matches_expected_lifetime(self, family, theta, d):
+        """``E[R] = ∫ p`` in closed form equals the quadrature of ``p``."""
+        p = make(family, theta, d)
+        closed = float(FAMILY_TABLE[family].mean_absence(d, theta))
+        assert closed == pytest.approx(p.expected_lifetime(), rel=1e-9)
+
+    @pytest.mark.parametrize("family,theta,d", CASES)
+    def test_classes_read_the_table(self, family, theta, d):
+        """Scalar-θ classes and per-lane-θ kernels round identically."""
+        p, row = make(family, theta, d), FAMILY_TABLE[family]
+        ts = np.linspace(0.0, min(p.lifespan, 40.0), 101)
+        thetas = np.full(ts.size, theta)
+        np.testing.assert_array_equal(
+            p(ts), np.clip(row.survival(d, thetas, ts), 0.0, 1.0)
+        )
+        ys = np.linspace(0.0, 1.0, 101)
+        np.testing.assert_array_equal(p.inverse(ys), row.inverse(d, thetas, ys))
+        assert float(row.lifespan(theta)) == p.lifespan
+
+    def test_ln_a_is_numpys(self):
+        """One rate for geomdec: the class's ``ln_a`` is the kernels' ``np.log``."""
+        a = 2.2519061004996055
+        assert GeometricDecreasingLifespan(a).ln_a == float(np.log(np.array([a]))[0])

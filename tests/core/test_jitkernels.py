@@ -39,7 +39,6 @@ from repro.core.life_functions import (
     GeometricIncreasingRisk,
     PolynomialRisk,
     UniformRisk,
-    WeibullLife,
 )
 from repro.exceptions import InvalidScheduleError, JITUnavailableError
 
@@ -109,27 +108,6 @@ def test_family_codes():
     assert jitkernels.family_code("geominc") == jitkernels.FAM_GEOMINC
     with pytest.raises(JITUnavailableError):
         jitkernels.family_code("weibull")
-
-
-def test_life_family_of_maps_section4_families():
-    assert jitkernels.life_family_of(UniformRisk(100.0)) == (jitkernels.FAM_POLY, 1, 100.0)
-    assert jitkernels.life_family_of(PolynomialRisk(3, 50.0)) == (
-        jitkernels.FAM_POLY, 3, 50.0,
-    )
-    assert jitkernels.life_family_of(GeometricDecreasingLifespan(1.25)) == (
-        jitkernels.FAM_GEOMDEC, 1, 1.25,
-    )
-    assert jitkernels.life_family_of(GeometricIncreasingRisk(30.0)) == (
-        jitkernels.FAM_GEOMINC, 1, 30.0,
-    )
-    # Non-family and *subclassed* life functions must not map: a subclass may
-    # override evaluation semantics the kernels know nothing about.
-    assert jitkernels.life_family_of(WeibullLife(1.5, 100.0)) is None
-
-    class Tweaked(UniformRisk):
-        pass
-
-    assert jitkernels.life_family_of(Tweaked(100.0)) is None
 
 
 def test_numba_cache_dir_rides_the_plan_cache_dir(fresh_probe, tmp_path):
