@@ -193,9 +193,9 @@ def run_closed_loop_scalar(server: PlanServer, mix: QueryMix) -> LoadReport:
 
 
 def run_closed_loop_batched(
-    server: PlanServer, mix: QueryMix, batch_size: int = 256
+    server: Union[PlanServer, ShardedPlanServer], mix: QueryMix, batch_size: int = 256
 ) -> LoadReport:
-    """Serve the stream through :meth:`PlanServer.serve_batch` chunks."""
+    """Serve the stream through ``server.serve_batch`` chunks."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     plans: list[ServedPlan] = []
@@ -221,28 +221,14 @@ def run_closed_loop_sharded(
 ) -> LoadReport:
     """Serve the stream through :meth:`ShardedPlanServer.serve_batch` chunks.
 
-    Same chunking discipline as :func:`run_closed_loop_batched`, so the two
+    :func:`run_closed_loop_batched` relabelled ``sharded[N]``, so the two
     reports are directly comparable (and their plan streams bit-comparable:
     a cold sharded server must reproduce a cold single-process server's
     output chunk for chunk).
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    plans: list[ServedPlan] = []
-    latencies: list[float] = []
-    start = time.perf_counter()
-    for lo in range(0, len(mix), batch_size):
-        hi = min(lo + batch_size, len(mix))
-        b_start = time.perf_counter()
-        served = server.serve_batch(
-            list(mix.families[lo:hi]), list(mix.cs[lo:hi]),
-            list(mix.param_values[lo:hi]),
-        )
-        b_elapsed = time.perf_counter() - b_start
-        plans.extend(served)
-        latencies.extend([b_elapsed] * (hi - lo))
-    elapsed = time.perf_counter() - start
-    return LoadReport(f"sharded[{server.n_shards}]", len(mix), elapsed, latencies, plans)
+    report = run_closed_loop_batched(server, mix, batch_size)
+    report.mode = f"sharded[{server.n_shards}]"
+    return report
 
 
 def run_open_loop(

@@ -39,8 +39,8 @@ from ..core.hetero_recurrence import HeteroBatchResult, generate_schedules_heter
 from ..core.life_functions import LifeFunction
 from ..core.life_functions.families import FAMILY_TABLE, make
 from ..core.optimizer import optimize_t0_via_recurrence
-from ..core.plancache import LatencyReservoir, PlanCache, default_plan_cache
-from ..core.schedule import Schedule
+from ..core.plancache import PlanCache, default_plan_cache
+from ..core.serving import ServedPlan
 from ..exceptions import CycleStealingError, PlanCacheError
 from ..types import FloatArray
 from .sweeps import run_sweep
@@ -204,19 +204,9 @@ class GuidelineTable:
         return float(est[0]), float(lo[0]), float(hi[0])
 
 
-@dataclass(frozen=True)
-class PlanAnswer:
-    """A served schedule plus provenance (which tier answered)."""
-
-    family: str
-    c: float
-    param_value: float
-    t0: float
-    schedule: Schedule
-    expected_work: float
-    #: ``"table"`` (interpolated + polished) or ``"optimizer"`` (fallback).
-    source: str
-    termination: str = ""
+#: A table answer is a served plan: ``source`` is ``"table"`` (interpolated +
+#: polished) or ``"optimizer"`` (the :meth:`TableServer.query` fallback).
+PlanAnswer = ServedPlan
 
 
 # ----------------------------------------------------------------------
@@ -480,11 +470,13 @@ class TableServer:
     shared plan cache — outside table bounds.  When no explicit ``cache`` is
     given but ``cache_dir`` is, a :class:`PlanCache` over the same directory
     is created, so repeated off-grid misses warm and hit the plan cache
-    instead of re-running the optimizer every time.  Query latency and
-    source mix are tracked in ``counters`` and the ``latency`` reservoir.
+    instead of re-running the optimizer every time.  The source mix and the
+    time spent serving are tracked in ``counters``.
 
-    All scalar entry points are thin ``n = 1`` wrappers over the batch
-    paths, so a batched query is bit-identical to the scalar loop.
+    :meth:`serve_from_table_batch` is the strict table tier (no optimizer
+    fallback) that :class:`~repro.core.serving.PlanServer` calls;
+    :meth:`query` is a thin ``n = 1`` wrapper over :meth:`query_batch`, so a
+    batched query is bit-identical to the scalar loop.
     """
 
     def __init__(
@@ -513,7 +505,6 @@ class TableServer:
         self.mmap_tables = bool(mmap_tables)
         self._tables: dict[str, Optional[GuidelineTable]] = {}
         self.counters: dict[str, Any] = {"table": 0, "optimizer": 0, "seconds": 0.0}
-        self.latency = LatencyReservoir(seed=1)
 
     def add_table(self, table: GuidelineTable) -> None:
         """Register an in-memory table (used by tests and warm pipelines)."""
@@ -548,7 +539,7 @@ class TableServer:
         c: float,
         param_value: float,
         polish: bool = True,
-    ) -> PlanAnswer:
+    ) -> ServedPlan:
         """A near-optimal schedule for family ``(c, θ)``, served fast.
 
         Inside table bounds: bilinear ``t0`` interpolation, an optional
@@ -565,97 +556,43 @@ class TableServer:
         cs: FloatArray,
         param_values: FloatArray,
         polish: bool = True,
-    ) -> list[PlanAnswer]:
-        """Serve a whole query batch, vectorized per family table.
+    ) -> list[ServedPlan]:
+        """Serve a whole query batch: the table first, the optimizer for the rest.
 
-        Queries are grouped by family; each group's in-bounds lanes run
-        through one vectorized interpolate + polish pass
-        (:meth:`GuidelineTable.interpolate_t0_batch` + the heterogeneous
-        batch recurrence), and the rest fall back to the full optimizer one
-        by one in ascending input order, riding ``self.cache``.  Answers
-        come back in input order.
+        Every lane goes through :meth:`serve_from_table_batch` (one
+        vectorized interpolate + polish pass per family table); the lanes it
+        cannot serve fall back to the full optimizer one by one in ascending
+        input order, riding ``self.cache``.  Answers come back in input order.
         """
-        start = time.perf_counter()
         fams = [str(f) for f in families]
-        cs_arr = np.asarray(cs, dtype=float)
-        vs_arr = np.asarray(param_values, dtype=float)
-        n = len(fams)
-        if cs_arr.shape != (n,) or vs_arr.shape != (n,):
-            raise PlanCacheError(
-                f"query_batch needs equally long families/cs/param_values, got "
-                f"{n}/{cs_arr.shape}/{vs_arr.shape}"
-            )
-        answers: list[Optional[PlanAnswer]] = [None] * n
-        fallback: list[int] = []
         for family in dict.fromkeys(fams):
             if family not in TABLE_FAMILIES:
                 raise PlanCacheError(
                     f"unknown table family {family!r}; expected one of "
                     f"{sorted(TABLE_FAMILIES)}"
                 )
-            table = self.table(family)
-            group = np.asarray([i for i, f in enumerate(fams) if f == family])
-            if table is None:
-                fallback.extend(int(i) for i in group)
+        cs_arr = np.asarray(cs, dtype=float)
+        vs_arr = np.asarray(param_values, dtype=float)
+        answers = self.serve_from_table_batch(fams, cs_arr, vs_arr, polish)
+        start = time.perf_counter()
+        for i, answer in enumerate(answers):
+            if isinstance(answer, ServedPlan):
                 continue
-            inb = table.contains_batch(cs_arr[group], vs_arr[group])
-            served = self._serve_from_table_batch(
-                table, family, cs_arr[group[inb]], vs_arr[group[inb]], polish
-            )
-            for gi, res in zip(group[inb], served):
-                if isinstance(res, PlanAnswer):
-                    answers[int(gi)] = res
-                else:  # NaN cell or degenerate bracket: fall back
-                    fallback.append(int(gi))
-            fallback.extend(int(i) for i in group[~inb])
-        for i in sorted(fallback):
-            fixed = self._family_fixed(fams[i])
-            p = make_family_life(fams[i], float(vs_arr[i]), fixed)
+            p = make_family_life(fams[i], float(vs_arr[i]), self._family_fixed(fams[i]))
             t0, outcome, ew = optimize_t0_via_recurrence(
                 p,
                 float(cs_arr[i]),
                 engine="jit" if self.engine == "jit" else "batch",
                 cache=self.cache,
             )
-            answers[i] = PlanAnswer(
+            answers[i] = ServedPlan(
                 family=fams[i], c=float(cs_arr[i]), param_value=float(vs_arr[i]),
                 t0=t0, schedule=outcome.schedule, expected_work=ew,
                 source="optimizer", termination=outcome.termination.value,
             )
-        for answer in answers:
-            assert answer is not None
-            self.counters[answer.source] += 1
-        elapsed = time.perf_counter() - start
-        self.counters["seconds"] += elapsed
-        for _ in range(n):
-            self.latency.add(elapsed / n)
-        return [a for a in answers if a is not None]
-
-    def serve_from_table(
-        self,
-        family: str,
-        c: float,
-        param_value: float,
-        polish: bool = True,
-    ) -> PlanAnswer:
-        """Serve **strictly** from the precomputed table — no optimizer fallback.
-
-        The table tier of the resilient serving chain
-        (:class:`repro.core.serving.PlanServer`) needs tier isolation: a
-        query the table cannot answer must *raise* so the chain can fall
-        through, rather than silently invoking the optimizer.  Thin ``n = 1``
-        wrapper over :meth:`serve_from_table_batch`.
-
-        Raises
-        ------
-        CycleStealingError
-            When the family has no (loadable) table, ``(c, θ)`` lies outside
-            its bounds, or the containing cell has missing corners.
-        """
-        result = self.serve_from_table_batch([family], [c], [param_value], polish)[0]
-        if isinstance(result, CycleStealingError):
-            raise result
-        return result
+            self.counters["optimizer"] += 1
+        self.counters["seconds"] += time.perf_counter() - start
+        return answers
 
     def serve_from_table_batch(
         self,
@@ -663,14 +600,16 @@ class TableServer:
         cs: FloatArray,
         param_values: FloatArray,
         polish: bool = True,
-    ) -> list[Union[PlanAnswer, CycleStealingError]]:
+    ) -> list[Union[ServedPlan, CycleStealingError]]:
         """The strict table tier over a whole batch, with per-lane outcomes.
 
-        Returns one entry per query, **in order**: a :class:`PlanAnswer` for
-        lanes the table can serve, and the :class:`CycleStealingError` that
-        the scalar :meth:`serve_from_table` would have raised for the rest
-        (no table, out of bounds, missing corners).  Returning — rather than
-        raising — the per-lane errors lets the batched serving chain mark
+        The table tier of the resilient serving chain
+        (:class:`repro.core.serving.PlanServer`) needs tier isolation: a
+        query the table cannot answer must not silently invoke the optimizer.
+        Returns one entry per query, **in order**: a :class:`ServedPlan` for
+        lanes the table can serve, and a :class:`CycleStealingError` for the
+        rest (no table, out of bounds, missing corners).  Returning — rather
+        than raising — the per-lane errors lets the serving chain mark
         individual lanes as tier misses without losing the rest of the batch.
         """
         start = time.perf_counter()
@@ -683,7 +622,7 @@ class TableServer:
                 f"serve_from_table_batch needs equally long families/cs/"
                 f"param_values, got {n}/{cs_arr.shape}/{vs_arr.shape}"
             )
-        results: list[Union[PlanAnswer, CycleStealingError, None]] = [None] * n
+        results: list[Union[ServedPlan, CycleStealingError, None]] = [None] * n
         for family in dict.fromkeys(fams):
             table = self.table(family)
             group = np.asarray([i for i, f in enumerate(fams) if f == family])
@@ -705,12 +644,8 @@ class TableServer:
             )
             for gi, res in zip(group[inb], served):
                 results[int(gi)] = res
-        serves = sum(1 for r in results if isinstance(r, PlanAnswer))
-        self.counters["table"] += serves
-        elapsed = time.perf_counter() - start
-        self.counters["seconds"] += elapsed
-        for _ in range(n):
-            self.latency.add(elapsed / n)
+        self.counters["table"] += sum(isinstance(r, ServedPlan) for r in results)
+        self.counters["seconds"] += time.perf_counter() - start
         return [r for r in results if r is not None]
 
     def _serve_from_table_batch(
@@ -720,7 +655,7 @@ class TableServer:
         cs: FloatArray,
         vs: FloatArray,
         polish: bool,
-    ) -> list[Union[PlanAnswer, CycleStealingError]]:
+    ) -> list[Union[ServedPlan, CycleStealingError]]:
         """Vectorized interpolate + polish for in-bounds lanes of one family.
 
         Every arithmetic step is elementwise per lane (clamping, bracket
@@ -733,7 +668,7 @@ class TableServer:
         fixed = dict(table.fixed)
         d = int(fixed.get("d", 1))
         est, lo0, hi0, valid = table.interpolate_t0_batch(cs, vs)
-        results: list[Union[PlanAnswer, CycleStealingError, None]] = [None] * n
+        results: list[Union[ServedPlan, CycleStealingError, None]] = [None] * n
         for i in np.nonzero(~valid)[0]:
             ci, cj = table.cell(float(cs[i]), float(vs[i]))
             results[int(i)] = CycleStealingError(
@@ -772,7 +707,7 @@ class TableServer:
                 family, lcs, lvs, best_t, d=d, engine=self.engine
             )
         for k, i in enumerate(live):
-            results[int(i)] = PlanAnswer(
+            results[int(i)] = ServedPlan(
                 family=family, c=float(cs[i]), param_value=float(vs[i]),
                 t0=float(best_t[k]), schedule=batch.schedule(k),
                 expected_work=float(batch.expected_work[k]),

@@ -49,7 +49,7 @@ from ..exceptions import (
 )
 from .life_functions import LifeFunction
 from .optimizer import optimize_t0_via_recurrence
-from .plancache import CacheStats, LatencyReservoir, PlanCache, plan_key
+from .plancache import CacheStats, PlanCache, plan_key
 from .recurrence import generate_schedule
 from .schedule import Schedule
 from .t0_bounds import (
@@ -292,7 +292,7 @@ class PlanServer:
     table_server:
         A :class:`~repro.analysis.tables_precompute.TableServer` (or ``None``
         to disable the table tier).  Only its strict
-        ``serve_from_table(family, c, param_value)`` method is used.
+        ``serve_from_table_batch(families, cs, param_values)`` method is used.
     cache:
         The warm :class:`~repro.core.plancache.PlanCache` probed by the cache
         tier (peek-only: a cold cache is a miss, never a recompute) and
@@ -358,7 +358,6 @@ class PlanServer:
         self.served = 0  #: queries answered by some tier
         self.exhausted = 0  #: queries for which every tier failed
         self.coalesced = 0  #: duplicate batch queries folded onto one serve
-        self.latency = LatencyReservoir(seed=2)  #: per-query serve latency
 
     # ------------------------------------------------------------------
     # Public API
@@ -422,7 +421,6 @@ class PlanServer:
         ``errors[i]`` is the :class:`~repro.exceptions.PlanServingError` the
         scalar path would have raised for that query.
         """
-        start = time.perf_counter()
         fams = [str(f) for f in families]
         n = len(fams)
         cs_list = [float(c) for c in cs]
@@ -460,12 +458,9 @@ class PlanServer:
         for tier in self.TIERS:
             if not pending:
                 break
-            if tier == "table":
-                pending = self._tier_pass_table(pending, fams, cs_list, vs_list, plans)
-            else:
-                pending = self._tier_pass_scalar(
-                    tier, pending, ps, fams, cs_list, vs_list, plans, last_error
-                )
+            pending = self._tier_pass(
+                tier, pending, ps, fams, cs_list, vs_list, plans, last_error
+            )
 
         errors: dict[int, BaseException] = dict(invalid)
         for i in pending:  # representatives that exhausted every tier
@@ -500,107 +495,9 @@ class PlanServer:
                 source = "cache"
             plans[i] = plan if source == plan.source else replace(plan, source=source)
             self.served += 1
-
-        elapsed = time.perf_counter() - start
-        for _ in range(n):
-            self.latency.add(elapsed / n)
         return [plans.get(i) for i in range(n)], errors
 
-    def _tier_pass_table(
-        self,
-        pending: list[int],
-        fams: list[str],
-        cs: list[float],
-        vs: list[float],
-        plans: dict[int, ServedPlan],
-    ) -> list[int]:
-        """One vectorized table-tier pass over the pending lanes.
-
-        Breaker and chaos bookkeeping runs per lane in input order *before*
-        the single batched table call — the same order the scalar loop
-        touches them — so breaker trips mid-pass reject exactly the lanes
-        the scalar loop would have rejected.
-        """
-        breaker = self.breakers["table"]
-        stats = self.tier_stats["table"]
-        survivors: list[int] = []
-        attempting: list[int] = []
-        for i in pending:
-            if not breaker.allow():
-                stats.rejected += 1
-                survivors.append(i)
-                continue
-            if self.chaos is not None:
-                fault_start = time.perf_counter()
-                try:
-                    self.chaos.maybe_fail("table")
-                except Exception:
-                    stats.errors += 1
-                    stats.error_seconds += time.perf_counter() - fault_start
-                    breaker.record_failure()
-                    survivors.append(i)
-                    continue
-            attempting.append(i)
-        if not attempting:
-            return survivors
-
-        start = time.perf_counter()
-        batched = getattr(self.table_server, "serve_from_table_batch", None)
-        try:
-            if self.table_server is None:
-                raise _TierMiss("no table server configured")
-            if batched is not None:
-                results: list[Any] = batched(
-                    [fams[i] for i in attempting],
-                    [cs[i] for i in attempting],
-                    [vs[i] for i in attempting],
-                )
-            else:  # table server without a batch path: scalar per lane
-                results = []
-                for i in attempting:
-                    try:
-                        results.append(
-                            self.table_server.serve_from_table(fams[i], cs[i], vs[i])
-                        )
-                    except CycleStealingError as exc:
-                        results.append(exc)
-        except _TierMiss:
-            share = (time.perf_counter() - start) / len(attempting)
-            for i in attempting:
-                stats.misses += 1
-                stats.miss_seconds += share
-                breaker.record_success()
-                survivors.append(i)
-            return sorted(survivors)
-        except Exception:  # a genuinely broken table tier fails every lane
-            share = (time.perf_counter() - start) / len(attempting)
-            for i in attempting:
-                stats.errors += 1
-                stats.error_seconds += share
-                breaker.record_failure()
-                survivors.append(i)
-            return sorted(survivors)
-
-        share = (time.perf_counter() - start) / len(attempting)
-        for i, res in zip(attempting, results):
-            if isinstance(res, CycleStealingError):
-                # Absent table / out-of-bounds / NaN cell: healthy miss.
-                stats.misses += 1
-                stats.miss_seconds += share
-                breaker.record_success()
-                survivors.append(i)
-            else:
-                stats.hits += 1
-                stats.hit_seconds += share
-                breaker.record_success()
-                plans[i] = ServedPlan(
-                    family=fams[i], c=cs[i], param_value=vs[i], t0=res.t0,
-                    schedule=res.schedule, expected_work=res.expected_work,
-                    source="table", termination=res.termination,
-                )
-        return sorted(survivors)
-
-    def _tier_pass_scalar(
+    def _tier_pass(
         self,
         tier: str,
         pending: list[int],
@@ -611,37 +508,77 @@ class PlanServer:
         plans: dict[int, ServedPlan],
         last_error: dict[int, BaseException],
     ) -> list[int]:
-        """One per-lane tier pass with exactly the scalar serve bookkeeping."""
+        """One tier over the pending lanes; returns the lanes it did not answer.
+
+        Breaker admission and chaos run per lane in input order.  The table
+        tier then answers all of its admitted lanes in one
+        :meth:`_tier_table` call; every other tier takes one lane per call,
+        so a breaker that trips mid-pass rejects exactly the lanes the scalar
+        loop would have rejected.
+        """
         breaker = self.breakers[tier]
-        stats = self.tier_stats[tier]
+        serve_one = None if tier == "table" else getattr(self, f"_tier_{tier}")
         survivors: list[int] = []
+        admitted: list[int] = []
         for i in pending:
             if not breaker.allow():
-                stats.rejected += 1
+                self.tier_stats[tier].rejected += 1
                 survivors.append(i)
                 continue
             start = time.perf_counter()
             try:
                 if self.chaos is not None:
                     self.chaos.maybe_fail(tier)
-                plan = self._serve_tier(tier, ps[i], fams[i], cs[i], vs[i])
-            except _TierMiss:
-                stats.misses += 1
-                stats.miss_seconds += time.perf_counter() - start
-                breaker.record_success()  # healthy response, just no answer
-                survivors.append(i)
+                if serve_one is None:
+                    admitted.append(i)
+                    continue
+                result: Any = serve_one(ps[i], fams[i], cs[i], vs[i])
             except Exception as exc:  # injected faults + genuine tier bugs
-                stats.errors += 1
-                stats.error_seconds += time.perf_counter() - start
-                breaker.record_failure()
-                last_error[i] = exc
+                result = exc
+            if not self._record(tier, i, result, time.perf_counter() - start,
+                                plans, last_error):
                 survivors.append(i)
-            else:
-                stats.hits += 1
-                stats.hit_seconds += time.perf_counter() - start
-                breaker.record_success()
-                plans[i] = plan
+        if admitted:
+            start = time.perf_counter()
+            try:
+                results: list[Any] = self._tier_table(admitted, fams, cs, vs)
+            except Exception as exc:  # a broken table tier fails every lane
+                results = [exc] * len(admitted)
+            share = (time.perf_counter() - start) / len(admitted)
+            for i, result in zip(admitted, results):
+                if not self._record(tier, i, result, share, plans, last_error):
+                    survivors.append(i)
+            survivors.sort()
         return survivors
+
+    def _record(
+        self,
+        tier: str,
+        i: int,
+        result: Any,
+        seconds: float,
+        plans: dict[int, ServedPlan],
+        last_error: dict[int, BaseException],
+    ) -> bool:
+        """Book one lane's tier outcome; ``True`` when the tier answered it."""
+        stats = self.tier_stats[tier]
+        breaker = self.breakers[tier]
+        if isinstance(result, ServedPlan):
+            stats.hits += 1
+            stats.hit_seconds += seconds
+            breaker.record_success()
+            plans[i] = result
+            return True
+        if isinstance(result, _TierMiss):
+            stats.misses += 1
+            stats.miss_seconds += seconds
+            breaker.record_success()  # healthy response, just no answer
+            return False
+        stats.errors += 1
+        stats.error_seconds += seconds
+        breaker.record_failure()
+        last_error[i] = result
+        return False
 
     def stats_dict(self) -> dict[str, Any]:
         """Chain-wide counters + per-tier stats and breaker states, JSON-ready."""
@@ -649,7 +586,6 @@ class PlanServer:
             "served": self.served,
             "exhausted": self.exhausted,
             "coalesced": self.coalesced,
-            "latency": self.latency.as_dict(),
             "tiers": {t: self.tier_stats[t].as_dict() for t in self.TIERS},
             "breakers": {t: self.breakers[t].as_dict() for t in self.TIERS},
         }
@@ -665,34 +601,21 @@ class PlanServer:
     # Tiers
     # ------------------------------------------------------------------
 
-    def _serve_tier(
-        self, tier: str, p: LifeFunction, family: str, c: float, param_value: float
-    ) -> ServedPlan:
-        if tier == "table":
-            return self._tier_table(family, c, param_value)
-        if tier == "cache":
-            return self._tier_cache(p, family, c, param_value)
-        if tier == "optimizer":
-            return self._tier_optimizer(p, family, c, param_value)
-        if tier == "guideline":
-            return self._tier_guideline(p, family, c, param_value)
-        raise PlanServingError(f"unknown serving tier {tier!r}")
+    def _tier_table(
+        self, lanes: list[int], fams: list[str], cs: list[float], vs: list[float]
+    ) -> list[Union[ServedPlan, _TierMiss]]:
+        """Interpolate + polish every lane from the precomputed guideline tables.
 
-    def _tier_table(self, family: str, c: float, param_value: float) -> ServedPlan:
-        """Interpolate + polish from the precomputed guideline table."""
+        A lane the table cannot answer (absent table, out-of-bounds query,
+        NaN cell) comes back as a miss: the tier is healthy, so it falls
+        through without tripping the breaker.
+        """
         if self.table_server is None:
             raise _TierMiss("no table server configured")
-        try:
-            answer = self.table_server.serve_from_table(family, c, param_value)
-        except CycleStealingError as exc:
-            # Absent table / out-of-bounds query / NaN cell: the table tier
-            # is healthy but cannot answer — fall through without tripping.
-            raise _TierMiss(str(exc)) from exc
-        return ServedPlan(
-            family=family, c=c, param_value=param_value, t0=answer.t0,
-            schedule=answer.schedule, expected_work=answer.expected_work,
-            source="table", termination=answer.termination,
+        results = self.table_server.serve_from_table_batch(
+            [fams[i] for i in lanes], [cs[i] for i in lanes], [vs[i] for i in lanes]
         )
+        return [r if isinstance(r, ServedPlan) else _TierMiss(str(r)) for r in results]
 
     def _tier_cache(
         self, p: LifeFunction, family: str, c: float, param_value: float
@@ -762,8 +685,12 @@ class PlanServer:
                 termination = outcome.termination.value
         if schedule is None:
             # No closed form for this family (or degenerate bracket): the
-            # Theorem 3.2 bound still yields one productive period.
-            t0 = self._clamp_t0(p, c, lower_bound_t0(p, c))
+            # Theorem 3.2 bound still yields one productive period — unless
+            # the overhead leaves none, which is a miss, not a tier fault.
+            try:
+                t0 = self._clamp_t0(p, c, lower_bound_t0(p, c))
+            except CycleStealingError:
+                t0 = None
             if t0 is None:
                 raise _TierMiss(
                     f"no productive closed-form period exists for c={c} "

@@ -53,7 +53,6 @@ import os
 import pickle
 import struct
 import threading
-import time
 import zlib
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -65,7 +64,7 @@ from ..exceptions import (
     ShardWorkerError,
     ShardingError,
 )
-from .plancache import LatencyReservoir, PlanCache
+from .plancache import PlanCache
 from .serving import CircuitBreaker, PlanServer, ServedPlan, TierChaos
 
 __all__ = [
@@ -435,11 +434,11 @@ class ShardWorker:
 
     def close(self, grace: float = 2.0) -> None:
         """Polite shutdown: ask, wait ``grace`` seconds, then terminate."""
-        if self.process is not None and self.process.is_alive() and self._conn is not None:
+        if self.process is not None and self.process.is_alive():
             try:
-                send_frame(self._conn, {"op": "shutdown", "id": self._take_id()})
+                self.send({"op": "shutdown"})
                 self.process.join(timeout=grace)
-            except (OSError, ValueError):
+            except ShardWorkerError:
                 pass
         self.discard()
 
@@ -449,19 +448,31 @@ class ShardWorker:
         self._next_id += 1
         return self._next_id
 
-    def request(self, msg: dict[str, Any], timeout: Optional[float]) -> dict[str, Any]:
-        """One framed round trip; :class:`ShardWorkerError` on any failure."""
+    def send(self, msg: dict[str, Any]) -> int:
+        """Write one framed request; returns its id for :meth:`receive`.
+
+        Raises :class:`ShardWorkerError` when there is no live worker or the
+        pipe write fails.
+        """
         shard = self.config.shard
         if self._conn is None or self.process is None:
             raise ShardWorkerError(f"shard {shard} has no live worker", shard)
-        payload = dict(msg)
-        payload["id"] = self._take_id()
+        msg_id = self._take_id()
         try:
-            send_frame(self._conn, payload)
-        except (OSError, ValueError, BrokenPipeError) as exc:
+            send_frame(self._conn, {**msg, "id": msg_id})
+        except (OSError, ValueError) as exc:
             raise ShardWorkerError(
                 f"shard {shard} pipe write failed: {exc}", shard
             ) from exc
+        return msg_id
+
+    def receive(self, msg_id: int, timeout: Optional[float]) -> dict[str, Any]:
+        """Read the reply to request ``msg_id``; :class:`ShardWorkerError` on
+        a timeout, a dead pipe, a bad frame, an out-of-sequence reply, or a
+        ``failure`` reply (chained to the worker's error)."""
+        shard = self.config.shard
+        if self._conn is None:
+            raise ShardWorkerError(f"shard {shard} has no live worker", shard)
         try:
             reply = recv_frame(self._conn, timeout=timeout)
         except ShardWorkerError as exc:
@@ -476,7 +487,7 @@ class ShardWorker:
             raise ShardWorkerError(
                 f"shard {shard} protocol violation: {exc}", shard
             ) from exc
-        if not isinstance(reply, dict) or reply.get("id") != payload["id"]:
+        if not isinstance(reply, dict) or reply.get("id") != msg_id:
             raise ShardWorkerError(
                 f"shard {shard} answered out of sequence", shard
             )
@@ -486,6 +497,10 @@ class ShardWorker:
                 f"shard {shard} request failed: {cause}", shard
             ) from cause
         return reply
+
+    def request(self, msg: dict[str, Any], timeout: Optional[float]) -> dict[str, Any]:
+        """One framed round trip: :meth:`send`, then :meth:`receive`."""
+        return self.receive(self.send(msg), timeout)
 
     def ping(self, timeout: Optional[float] = 30.0) -> dict[str, Any]:
         """Liveness handshake; returns the worker's ``pong`` frame."""
@@ -607,7 +622,6 @@ class ShardedPlanServer:
         self.restarts = 0  #: worker restarts performed
         self.worker_failures = 0  #: failed worker requests (death/timeout)
         self.batches = 0  #: serve_batch calls dispatched
-        self.latency = LatencyReservoir(seed=3)  #: per-lane serve latency
 
     # ------------------------------------------------------------------
     # Public API
@@ -649,7 +663,6 @@ class ShardedPlanServer:
         the wire format in *both* execution modes, so delivery is identical
         whether a lane was served in-process, in a worker, or by fallback.
         """
-        start = time.perf_counter()
         fams = [str(f) for f in families]
         n = len(fams)
         cs_list = [float(c) for c in cs]
@@ -684,9 +697,6 @@ class ShardedPlanServer:
                 self._serve_remote(lanes_by_shard, fams, cs_list, vs_list, plans, errors)
             self.served += n - len(errors)
             self.exhausted += len(errors)
-            elapsed = time.perf_counter() - start
-            for _ in range(n):
-                self.latency.add(elapsed / n)
             return plans, errors
 
     def close(self) -> None:
@@ -718,7 +728,6 @@ class ShardedPlanServer:
             "restarts": self.restarts,
             "worker_failures": self.worker_failures,
             "batches": self.batches,
-            "latency": self.latency.as_dict(),
             "breakers": [b.as_dict() for b in self.breakers],
             "alive": [w.alive for w in self._workers] if self._workers else None,
         }
@@ -797,7 +806,7 @@ class ShardedPlanServer:
         affect results, only who is waited on first.
         """
         assert self._workers is not None
-        sent: list[tuple[int, dict[str, Any]]] = []
+        sent: list[tuple[int, dict[str, Any], int]] = []
         degraded: list[int] = []
         for shard, lanes in enumerate(lanes_by_shard):
             if not lanes:
@@ -806,8 +815,7 @@ class ShardedPlanServer:
             if not breaker.allow():
                 degraded.append(shard)
                 continue
-            worker = self._workers[shard]
-            if not worker.alive and not self._try_restart(shard):
+            if not self._workers[shard].alive and not self._try_restart(shard):
                 self.worker_failures += 1
                 breaker.record_failure()
                 degraded.append(shard)
@@ -817,85 +825,72 @@ class ShardedPlanServer:
                 **dict(zip(("families", "cs", "param_values"),
                            self._sub_batch(lanes, fams, cs, vs))),
             }
-            payload = dict(msg)
-            payload["id"] = self._workers[shard]._take_id()
             try:
-                send_frame(self._workers[shard]._conn, payload)
-            except (OSError, ValueError, BrokenPipeError):
-                self.worker_failures += 1
-                breaker.record_failure()
-                if self._retry_shard(shard, msg, lanes, fams, cs, vs, plans, errors):
-                    continue
-                degraded.append(shard)
-                continue
-            sent.append((shard, payload))
+                sent.append((shard, msg, self._workers[shard].send(msg)))
+            except ShardWorkerError:
+                if not self._retry_shard(shard, msg, lanes, plans, errors):
+                    degraded.append(shard)
 
-        for shard, payload in sent:
+        for shard, msg, msg_id in sent:
             lanes = lanes_by_shard[shard]
-            worker = self._workers[shard]
-            breaker = self.breakers[shard]
             try:
-                reply = recv_frame(worker._conn, timeout=self.request_timeout)
-                if (not isinstance(reply, dict)
-                        or reply.get("id") != payload["id"]
-                        or reply.get("op") != "result"):
-                    raise ShardWorkerError(
-                        f"shard {shard} answered out of protocol", shard
-                    )
-            except (ShardWorkerError, ShardProtocolError, EOFError, OSError):
-                self.worker_failures += 1
-                breaker.record_failure()
-                msg = {k: payload[k] for k in ("op", "families", "cs", "param_values")}
-                if self._retry_shard(shard, msg, lanes, fams, cs, vs, plans, errors):
-                    continue
-                degraded.append(shard)
-                continue
-            breaker.record_success()
-            self._scatter(
-                lanes, reply["plans"],
-                {int(i): _rebuild_error(e) for i, e in reply["errors"].items()},
-                plans, errors,
-            )
+                self._collect(shard, msg_id, lanes, plans, errors)
+            except ShardWorkerError:
+                if not self._retry_shard(shard, msg, lanes, plans, errors):
+                    degraded.append(shard)
 
         for shard in degraded:
             self._serve_fallback(lanes_by_shard[shard], fams, cs, vs, plans, errors)
 
-    def _retry_shard(
+    def _collect(
         self,
         shard: int,
-        msg: dict[str, Any],
+        msg_id: int,
         lanes: list[int],
-        fams: list[str],
-        cs: list[float],
-        vs: list[float],
         plans: list[Optional[ServedPlan]],
         errors: dict[int, BaseException],
-    ) -> bool:
-        """One restart-and-retry after a failed request; True when it served.
+    ) -> None:
+        """Wait for one shard's serve reply and fold it into the batch.
 
-        The slow path: the shard already failed once this batch, so the
-        retry runs synchronously (restart, resend, wait).  A second failure
-        re-trips the breaker and the caller degrades the lanes to fallback.
+        Raises :class:`ShardWorkerError` when the reply does not arrive or is
+        not a ``result``; the shard's breaker records a success otherwise.
         """
         assert self._workers is not None
-        if not self._try_restart(shard):
-            return False
-        try:
-            reply = self._workers[shard].request(msg, timeout=self.request_timeout)
-            if reply.get("op") != "result":
-                raise ShardWorkerError(
-                    f"shard {shard} answered out of protocol", shard
-                )
-        except (ShardWorkerError, ShardProtocolError):
-            self.worker_failures += 1
-            self.breakers[shard].record_failure()
-            return False
+        reply = self._workers[shard].receive(msg_id, self.request_timeout)
+        if reply.get("op") != "result":
+            raise ShardWorkerError(f"shard {shard} answered out of protocol", shard)
         self.breakers[shard].record_success()
         self._scatter(
             lanes, reply["plans"],
             {int(i): _rebuild_error(e) for i, e in reply["errors"].items()},
             plans, errors,
         )
+
+    def _retry_shard(
+        self,
+        shard: int,
+        msg: dict[str, Any],
+        lanes: list[int],
+        plans: list[Optional[ServedPlan]],
+        errors: dict[int, BaseException],
+    ) -> bool:
+        """Count a failed request, then restart and retry once; True when served.
+
+        The slow path: the shard already failed once this batch, so the
+        retry runs synchronously (restart, resend, wait).  A second failure
+        re-trips the breaker and the caller degrades the lanes to fallback.
+        """
+        assert self._workers is not None
+        self.worker_failures += 1
+        self.breakers[shard].record_failure()
+        if not self._try_restart(shard):
+            return False
+        try:
+            self._collect(shard, self._workers[shard].send(msg), lanes, plans, errors)
+        except ShardWorkerError:
+            self.worker_failures += 1
+            self.breakers[shard].record_failure()
+            return False
         return True
 
     def _try_restart(self, shard: int) -> bool:

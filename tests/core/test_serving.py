@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.loadgen import plans_identical
 from repro.core.life_functions import UniformRisk
 from repro.core.plancache import PlanCache
 from repro.core.serving import (
@@ -188,6 +189,21 @@ class TestPlanServer:
         with pytest.raises(PlanServingError):
             server.serve("uniform", 50.0, 30.0)
 
+    def test_unservable_guideline_input_is_a_miss(self):
+        # c >= lifespan leaves no productive period: every tier misses, so
+        # repeating the query must not open the guideline breaker ...
+        server = self._server()
+        for _ in range(3):
+            with pytest.raises(PlanServingError):
+                server.serve("uniform", 50.0, 30.0)
+        stats = server.tier_stats["guideline"]
+        assert (stats.misses, stats.errors) == (3, 0)
+        assert server.breakers["guideline"].state == BREAKER_CLOSED
+        # ... so the last resort still answers a valid query afterwards.
+        server.chaos = TierChaos({"optimizer": 1.0}, seed=0)
+        plan = server.serve(self.FAMILY, 1.0, 100.0)
+        assert plan.source == "guideline"
+
     def test_unknown_family_rejected(self):
         server = self._server()
         with pytest.raises(Exception):
@@ -197,6 +213,7 @@ class TestPlanServer:
         server = self._server()
         server.serve(self.FAMILY, self.C, self.PARAM)
         d = server.stats_dict()
+        assert set(d) == {"served", "exhausted", "coalesced", "tiers", "breakers"}
         assert set(d["tiers"]) == set(PlanServer.TIERS)
         assert set(d["breakers"]) == set(PlanServer.TIERS)
         assert d["served"] == 1
@@ -210,6 +227,48 @@ class TestPlanServer:
         assert all(
             b.state == BREAKER_CLOSED for b in server.breakers.values()
         )
+
+
+class _BrokenTable:
+    """A table server whose store is unreachable."""
+
+    def serve_from_table_batch(self, families, cs, param_values, polish=True):
+        raise RuntimeError("table store unreachable")
+
+
+class TestBrokenTableTier:
+    QUERIES = [("uniform", 1.0, 30.0), ("uniform", 2.0, 60.0),
+               ("poly", 1.0, 40.0), ("geomdec", 0.5, 1.3)]
+
+    def _server(self, table_server, **kw):
+        kw.setdefault("cache", PlanCache(maxsize=16))
+        return PlanServer(table_server=table_server, breaker_threshold=3,
+                          clock=_Clock(), **kw)
+
+    def test_batch_counts_one_error_per_admitted_lane(self):
+        fams, cs, vs = map(list, zip(*self.QUERIES))
+        server = self._server(_BrokenTable())
+        plans = server.serve_batch(fams, cs, vs)
+        # Admission precedes the one batched call, so all four lanes ran.
+        assert server.tier_stats["table"].errors == len(self.QUERIES)
+        assert server.breakers["table"].state == BREAKER_OPEN
+        expected = self._server(None).serve_batch(fams, cs, vs)
+        assert all(plans_identical(a, b) for a, b in zip(plans, expected))
+
+    def test_scalar_loop_opens_breaker_at_threshold(self):
+        server = self._server(_BrokenTable())
+        reference = self._server(None)
+        for query in self.QUERIES:
+            assert plans_identical(server.serve(*query), reference.serve(*query))
+        stats = server.tier_stats["table"]
+        assert (stats.errors, stats.rejected) == (3, 1)
+        assert server.breakers["table"].opens == 1
+
+    def test_table_error_is_the_exhausted_querys_cause(self):
+        server = self._server(_BrokenTable(), cache=None)
+        with pytest.raises(PlanServingError) as info:
+            server.serve("uniform", 50.0, 30.0)
+        assert isinstance(info.value.__cause__, RuntimeError)
 
 
 class TestGuidelineTier:

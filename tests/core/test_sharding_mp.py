@@ -25,10 +25,11 @@ from repro.core.serving import PlanServer, TierChaos
 from repro.core.sharding import (
     ShardConfig,
     ShardedPlanServer,
+    ShardWorker,
     build_shard_server,
     split_batch,
 )
-from repro.exceptions import FaultInjectionError, ShardingError
+from repro.exceptions import FaultInjectionError, ShardingError, ShardWorkerError
 
 pytestmark = pytest.mark.multiproc
 
@@ -235,6 +236,30 @@ class TestLifecycle:
         assert len(stats) == 2
         assert all(s is not None for s in stats)
         assert sum(s["served"] for s in stats) == 2
+
+    def test_send_and_receive_pipeline_requests(self):
+        worker = ShardWorker(ShardConfig(shard=0, n_shards=1))
+        try:
+            ids = [worker.send({"op": "ping"}) for _ in range(2)]
+            with pytest.raises(ShardWorkerError, match="out of sequence"):
+                worker.receive(ids[1], timeout=30.0)  # ids[0]'s pong is first
+            assert worker.receive(ids[1], timeout=30.0)["op"] == "pong"
+        finally:
+            worker.close()
+
+    def test_out_of_sequence_reply_retries_on_a_fresh_worker(self):
+        fams, cs, vs = ["uniform", "poly"], [0.1, 0.2], [60.0, 80.0]
+        with ShardedPlanServer(workers=1, max_restarts=1) as sharded:
+            first = sharded.serve_batch(fams, cs, vs)
+            # A stray pong now precedes the next serve reply on the pipe.
+            sharded._workers[0].send({"op": "ping"})
+            second, errors = sharded.try_serve_batch(fams, cs, vs)
+            stats = sharded.stats_dict()
+        assert not errors
+        assert (stats["worker_failures"], stats["restarts"]) == (1, 1)
+        assert stats["fallback_lanes"] == 0
+        # The restarted shard's cache is cold again, so compare content.
+        assert all(_plans_equal(a, b, source=False) for a, b in zip(first, second))
 
     def test_close_is_idempotent_and_serve_after_close_raises(self):
         sharded = ShardedPlanServer(workers=2)
