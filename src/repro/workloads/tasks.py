@@ -100,7 +100,9 @@ class TaskPool:
             task = tasks.popleft()
             taken.append(task)
             used += task.duration
-        self._pending_work -= used
+        # An empty pool holds exactly no work; the running total would keep
+        # its float drift (down to a negative remainder).
+        self._pending_work = self._pending_work - used if tasks else 0.0
         return taken
 
     def commit(self, tasks: Iterable[Task]) -> None:

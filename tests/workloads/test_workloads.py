@@ -67,6 +67,15 @@ class TestTaskPool:
         pool.commit(pool.checkout(2.0))
         assert pool.exhausted
 
+    def test_emptied_pool_holds_exactly_no_work(self):
+        # 0.1 + 0.2 + 0.3 minus its prefixes one by one leaves 5.6e-17 in a
+        # running total; a pool with no tasks must report exactly 0.
+        pool = TaskPool.from_durations([0.1, 0.2, 0.3])
+        for budget in (0.1, 0.2, 0.3):
+            pool.checkout(budget)
+        assert pool.exhausted
+        assert pool.pending_work == 0.0
+
 
 class TestGenerators:
     def test_uniform(self):
