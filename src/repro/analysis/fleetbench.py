@@ -1,6 +1,6 @@
-"""Fleet benchmark harness: policy comparison, scalar baseline, parity gate.
+"""Fleet benchmark harness: policy comparison, scalar baseline, parity gates.
 
-Three jobs, shared by ``repro fleet`` and ``benchmarks/bench_fleet.py``:
+Jobs shared by ``repro fleet`` and ``benchmarks/bench_fleet.py``:
 
 * :func:`run_policy_comparison` — one :class:`~repro.now.fleet.FleetSpec`
   swept across the dispatch policies, with the
@@ -13,7 +13,10 @@ Three jobs, shared by ``repro fleet`` and ``benchmarks/bench_fleet.py``:
 * :func:`parity_check` — the differential gate: an ``n = 1`` fleet must be
   bit-identical to ``run_farm`` on the shared-RNG contract — per-host
   stats, completion time, event count, goodput, the policy-call (dispatch
-  log) trace, the committed task-id sequence, and the fault digest.
+  log) trace, the committed task-id sequence, and the fault digest;
+* :func:`cross_core_check` — the batched core must be bit-identical to the
+  heap core; :func:`seeding_check` — the bulk-seeded host streams must be
+  ``default_rng([seed, s, key])``'s.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from ..now.fleet import (
     FLEET_POLICIES,
     FleetPlan,
     FleetSpec,
+    host_generators,
     host_network,
     host_rng,
     mean_field_fleet,
@@ -54,6 +58,7 @@ __all__ = [
     "scalar_baseline",
     "parity_check",
     "cross_core_check",
+    "seeding_check",
 ]
 
 #: Dyadic default task duration: partial prefix sums are exact in binary
@@ -406,4 +411,24 @@ def cross_core_check(
                 check("fault_digest",
                       a.fault_log.digest() == b.fault_log.digest())
 
+    return {"ok": not mismatches, "checks": checks, "mismatches": mismatches}
+
+
+def seeding_check(seed: int = 7) -> dict:
+    """Differential gate: the fleet's bulk-seeded host streams must equal
+    ``default_rng([seed, s, key])`` for the owner (``s = 0``) and steal
+    (``s = 1``) streams.  The 2,048 keys straddle 2^32, so both the
+    vectorized rows and the rows left to ``default_rng`` are checked.
+
+    Returns ``{"ok": bool, "checks": int, "mismatches": [str, ...]}``.
+    """
+    keys = range(2**32 - 1024, 2**32 + 1024)
+    mismatches: list[str] = []
+    checks = 0
+    for stream in (0, 1):
+        for key, rng in zip(keys, host_generators(seed, stream, keys)):
+            checks += 1
+            scalar = np.random.default_rng([seed, stream, key])
+            if rng.bit_generator.state != scalar.bit_generator.state:
+                mismatches.append(f"stream {stream}: key {key}")
     return {"ok": not mismatches, "checks": checks, "mismatches": mismatches}

@@ -57,8 +57,9 @@ on the CLI, while library callers degrade transparently to NumPy.
     core (``batched`` calendar queue, default, or the ``heap`` oracle)
     and ``--bucket-width`` tunes the batched core's bucket span.
     ``--quick`` is the tier-1 smoke: the n = 1 bit-parity gate against
-    ``run_farm`` for both cores plus the batched-vs-heap cross-core gate
-    (hard failures) and a small 16-host policy table.  ``--profile``
+    ``run_farm`` for both cores, the batched-vs-heap cross-core gate and
+    the bulk-seeding gate (host streams equal ``default_rng``'s; hard
+    failures) and a small 16-host policy table.  ``--profile``
     wraps the run in cProfile and prints the top hotspots.  ``--out``
     writes the JSON record.
 
@@ -318,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--quick", action="store_true",
                          help="tier-1 smoke: n=1 parity gate vs run_farm for "
                               "both cores + the batched-vs-heap cross-core "
-                              "gate + a 16-host policy table (~2s)")
+                              "gate + the bulk-seeding gate + a 16-host "
+                              "policy table (~2s)")
     p_fleet.add_argument("--profile", action="store_true",
                          help="run under cProfile and print the top hotspots "
                               "by cumulative time")
@@ -692,6 +694,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         fleet_workload,
         parity_check,
         run_policy_comparison,
+        seeding_check,
     )
     from .now.fleet import FLEET_POLICIES, FleetSpec, plan_fleet_schedules
 
@@ -716,6 +719,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         gate = cross_core_check(seed=args.seed + 7, family=args.family)
         print(f"cross-core parity  : {'ok' if gate['ok'] else 'FAILED'} "
+              f"({gate['checks']} checks, {time.perf_counter() - start:.1f}s)")
+        for line in gate["mismatches"]:
+            print(f"  MISMATCH {line}")
+        ok = ok and gate["ok"]
+        start = time.perf_counter()
+        gate = seeding_check(seed=args.seed + 7)
+        print(f"bulk seeding       : {'ok' if gate['ok'] else 'FAILED'} "
               f"({gate['checks']} checks, {time.perf_counter() - start:.1f}s)")
         for line in gate["mismatches"]:
             print(f"  MISMATCH {line}")

@@ -63,7 +63,10 @@ class FaultLog:
         detail: Optional[Mapping[str, float]] = None,
     ) -> FaultEvent:
         """Append one event and return it."""
-        event = FaultEvent.make(time, kind, ws_id, detail)
+        if detail:
+            event = FaultEvent.make(time, kind, ws_id, detail)
+        else:  # crashes and restarts: nothing to canonicalize
+            event = FaultEvent(float(time), kind, int(ws_id))
         self.events.append(event)
         return event
 

@@ -268,32 +268,59 @@ class FaultRuntime:
             self._drift.at_fraction * horizon if self._drift is not None else math.inf
         )
         self._drift_logged: set[int] = set()
-        self._crash_schedule = {
-            ws: self._generate_crashes(ws) for ws in ws_ids
-        }
+        self._crash_schedule = self._generate_crashes(ws_ids)
 
     # ------------------------------------------------------------------
     # Crash schedule (pre-generated, deterministic per (seed, ws_id))
     # ------------------------------------------------------------------
 
-    def _generate_crashes(self, ws_id: int) -> list[tuple[float, float]]:
+    def _generate_crashes(
+        self, ws_ids: Sequence[int]
+    ) -> dict[int, list[tuple[float, float]]]:
         """Poisson crash times over the horizon, as (crash, restart) pairs.
 
-        Crashes landing inside a previous outage are dropped (a machine that
-        is down cannot crash again), so outages never overlap.
+        Workstations take turns on the ``"crash"`` stream, in ``ws_ids``
+        order: each adds exponential gaps to its clock until it reaches the
+        horizon.  Crashes landing inside a previous outage are dropped (a
+        machine that is down cannot crash again), so outages never overlap.
+
+        The gaps are drawn in blocks (a block of ``n`` draws takes the
+        stream of ``n`` single draws) and summed with the same ``+=`` per
+        gap; the stream is then reset and advanced past exactly the gaps
+        used, where drawing one gap at a time would leave it.
         """
         if self._crash is None:
-            return []
+            return {ws: [] for ws in ws_ids}
         rng = self._rngs["crash"]
-        pairs: list[tuple[float, float]] = []
-        t = 0.0
-        while True:
-            t += float(rng.exponential(self._crash.mtbf))
-            if t >= self.horizon:
-                return pairs
-            if pairs and t < pairs[-1][1]:
-                continue  # still down from the previous crash
-            pairs.append((t, t + self._crash.restart_time))
+        mtbf = self._crash.mtbf
+        restart_time = self._crash.restart_time
+        horizon = self.horizon
+        state = rng.bit_generator.state
+        # ~horizon / mtbf + 1 gaps per workstation; short blocks double.
+        size = min(int(1.25 * len(ws_ids) * (horizon / mtbf + 1.0)) + 64,
+                   1 << 16)
+        gaps = rng.exponential(mtbf, size).tolist()
+        used = 0
+        schedule: dict[int, list[tuple[float, float]]] = {}
+        for ws in ws_ids:
+            pairs: list[tuple[float, float]] = []
+            t = up_at = 0.0
+            while True:
+                if used == size:
+                    gaps += rng.exponential(mtbf, size).tolist()
+                    size *= 2
+                t += gaps[used]
+                used += 1
+                if t >= horizon:
+                    break
+                if t < up_at:
+                    continue  # still down from the previous crash
+                up_at = t + restart_time
+                pairs.append((t, up_at))
+            schedule[ws] = pairs
+        rng.bit_generator.state = state
+        rng.exponential(mtbf, used)
+        return schedule
 
     def crash_schedule(self, ws_id: int) -> list[tuple[float, float]]:
         """The (crash time, restart time) outages planned for one workstation."""

@@ -30,7 +30,11 @@ This module rebuilds the same simulation for *N* hosts around three ideas:
    :class:`~repro.now.owner.OwnerProcess` buffering discipline, so a run is
    bit-reproducible from ``(seed, n_hosts, policy)`` and an ``n = 1`` fleet
    is **bit-identical** to ``run_farm`` fed the same substream (dispatch
-   log, stats, goodput, and fault digest — differentially tested).
+   log, stats, goodput, and fault digest — differentially tested).  The
+   owner and steal streams are still ``default_rng([seed, s, host_key])``,
+   seeded for all hosts in one vectorized pass (:func:`host_generators`:
+   NumPy's SeedSequence mixing as uint32 array operations) whose generator
+   states are bit-identical to ``default_rng``'s.
 
 4. **One set of event handlers, two queues.**  The draconian rules —
    owner leave, owner return (kills the period in flight), crash, restart,
@@ -96,7 +100,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import insort
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -130,6 +134,7 @@ __all__ = [
     "run_fleet",
     "host_network",
     "host_rng",
+    "host_generators",
     "mean_field_fleet",
 ]
 
@@ -209,6 +214,14 @@ class FleetSpec:
         keys = np.asarray(keys, dtype=np.int64)
         if keys.shape != self.cs.shape or len(set(keys.tolist())) != keys.size:
             raise SimulationError("host_keys must be unique, one per host")
+        # Both seed the hosts' default_rng([seed, s, key]) streams, which
+        # take only non-negative integers.
+        if np.any(keys < 0):
+            raise SimulationError(
+                f"host_keys must be non-negative, got {int(keys.min())}"
+            )
+        if int(self.seed) < 0:
+            raise SimulationError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "host_keys", keys)
         object.__setattr__(self, "d", int(self.d) if self.family == "poly" else 1)
 
@@ -281,6 +294,96 @@ class FleetSpec:
 def host_rng(spec: FleetSpec, i: int) -> np.random.Generator:
     """Host ``i``'s owner-draw substream: ``default_rng([seed, 0, key_i])``."""
     return np.random.default_rng([int(spec.seed), 0, int(spec.host_keys[i])])
+
+
+# NumPy's SeedSequence hash constants.  NumPy keeps SeedSequence and PCG64
+# stream-compatible across releases (NEP 19), so ``default_rng`` maps a
+# seed to the same state in every release — which is what lets
+# host_generators replay it in bulk.  The seeding tests and the
+# ``repro fleet --quick`` seeding gate compare it against default_rng.
+_U32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+class _PCG64Words(np.random.bit_generator.ISeedSequence):
+    """A precomputed ``generate_state(4, uint64)`` row, fed to ``PCG64``."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly its four uint64 seed words.
+        return self._words
+
+
+def _pcg64_words(seed: int, stream: int, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, stream, k]).generate_state(4, uint64)`` for
+    every ``k`` in ``keys`` (uint32), as one ``(n, 4)`` array.
+
+    The entropy is three 32-bit words, so the pool's fourth word is the
+    hash of zero and the extra-entropy loop never runs.  The hash
+    constants advance the same way for every row, so each step is one
+    uint32 array operation (products wrap mod 2^32, as in C).
+    """
+    u32 = np.uint32
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _U32
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ (result >> u32(16))
+
+    # One-element arrays, not NumPy scalars: scalar products warn on wrap.
+    word = lambda v: np.array([v], dtype=u32)
+    pool = [hashmix(word(seed)), hashmix(word(stream)), hashmix(keys),
+            hashmix(word(0))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    words = np.empty((keys.size, 8), dtype=u32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ u32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _U32
+        value = value * u32(hash_const)
+        words[:, i] = value ^ (value >> u32(16))
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def host_generators(seed: int, stream: int,
+                    keys: Sequence[int]) -> list[np.random.Generator]:
+    """``[default_rng([seed, stream, k]) for k in keys]``, seeded in bulk.
+
+    Each generator's ``bit_generator.state`` equals ``default_rng``'s: the
+    SeedSequence mixing runs once over all keys as array operations, then
+    each ``PCG64`` is built from its precomputed row.  A row whose entropy
+    is not three 32-bit words (``seed`` or a key at or above 2^32) is
+    seeded by ``default_rng`` itself.  ``seed``, ``stream`` and ``keys``
+    must be non-negative, as :class:`FleetSpec` enforces.
+    """
+    keys = [int(k) for k in keys]
+    if seed > _U32:
+        return [np.random.default_rng([seed, stream, k]) for k in keys]
+    bulk = [k <= _U32 for k in keys]
+    rows = iter(_pcg64_words(
+        seed, stream, np.array([k for k, b in zip(keys, bulk) if b], np.uint32)
+    ))
+    return [
+        np.random.Generator(np.random.PCG64(_PCG64Words(next(rows))))
+        if b else np.random.default_rng([seed, stream, k])
+        for k, b in zip(keys, bulk)
+    ]
 
 
 def host_life(spec: FleetSpec, i: int) -> LifeFunction:
@@ -1126,13 +1229,15 @@ def _drain_batched(
         bounds = np.searchsorted(st_b, np.arange(nb + 1)).tolist()
     else:
         bounds = [0] * (nb + 1)
-    dyn: list[list] = [[] for _ in range(nb)]
+    # Period ends queued for later buckets, by bucket; a run that finishes
+    # early never touches most buckets, so their lists are made on demand.
+    dyn: defaultdict[int, list] = defaultdict(list)
 
     events = 0
     for cur in range(nb):
         lo_b = bounds[cur]
         hi_b = bounds[cur + 1]
-        evs = dyn[cur]
+        evs = dyn.pop(cur, None)
         if hi_b > lo_b:
             # Materialize this bucket's static cohort only now — keeping
             # the whole schedule as live tuples would tax every GC pass.
@@ -1294,6 +1399,9 @@ def run_fleet(
     periods_l = plan.periods.tolist()
     nper_l = plan.num_periods.tolist()
     seed = int(spec.seed)
+    owner_rngs = host_generators(seed, 0, keys_l)
+    steal_rngs = (host_generators(seed, 1, keys_l)
+                  if stealing and n_hosts > 1 else [None] * n_hosts)
     life_cache: dict[float, LifeFunction] = {}
     lives = []
     for p in spec.params.tolist():
@@ -1304,9 +1412,7 @@ def run_fleet(
     hosts = [
         _Host(
             i, keys_l[i], cs_l[i], speeds_l[i], pm_l[i], lives[i],
-            np.random.default_rng([seed, 0, keys_l[i]]),
-            np.random.default_rng([seed, 1, keys_l[i]])
-            if stealing and n_hosts > 1 else None,
+            owner_rngs[i], steal_rngs[i],
             periods_l[i][: int(nper_l[i])],
             pools[i],
         )

@@ -110,19 +110,26 @@ def _assert_cores_agree(spec, durations, horizon, policy, start_absent,
                                faults=faults, start_absent=start_absent,
                                record_log=True, core=core)
     heap, batched = runs["heap"], runs["batched"]
-    for field in dataclasses.fields(FleetResult):
-        if field.name in ("core", "fault_log"):
-            continue
-        a, b = getattr(heap, field.name), getattr(batched, field.name)
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), field.name
-        elif isinstance(a, float) and math.isnan(a):
-            assert math.isnan(b), field.name
-        else:
-            assert a == b, field.name
-    if drift:
-        assert heap.fault_log.digest() == batched.fault_log.digest()
+    _assert_same_result(heap, batched, skip=("core",))
     return batched
+
+
+def _assert_same_result(a: FleetResult, b: FleetResult, skip=()) -> None:
+    """Every FleetResult field equal (NaN matches NaN; fault logs by digest)."""
+    for field in dataclasses.fields(FleetResult):
+        if field.name in skip:
+            continue
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "fault_log":
+            assert (x is None) == (y is None), field.name
+            if x is not None:
+                assert x.digest() == y.digest(), field.name
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        elif isinstance(x, float) and math.isnan(x):
+            assert math.isnan(y), field.name
+        else:
+            assert x == y, field.name
 
 
 #: (start_absent, drift): each owner-timeline boundary case runs all three.
@@ -279,6 +286,71 @@ class TestFleetSpec:
                 present_means=np.full(2, 8.0),
                 host_keys=np.array([3, 3]),
             )
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("host_keys", {"host_keys": np.array([0, -1])}),
+        ("seed", {"seed": -3}),
+    ])
+    def test_negative_seeding_inputs_rejected(self, field, kwargs):
+        # Both feed default_rng([seed, s, key]), which takes no negatives.
+        with pytest.raises(SimulationError, match=field):
+            FleetSpec(
+                family="uniform",
+                cs=np.ones(2),
+                params=np.full(2, 64.0),
+                speeds=np.ones(2),
+                present_means=np.full(2, 8.0),
+                **kwargs,
+            )
+
+
+_SEED_KEYS = [0, 1, 2**32 - 1, 2**32, 2**40]
+
+
+class TestHostGenerators:
+    """Bulk-seeded host streams must be default_rng([seed, s, key]) exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 1])
+    @pytest.mark.parametrize("keys", (
+        [[k] for k in _SEED_KEYS]
+        + [[2**32 - 1, 2**32], [2**40, 0]]
+        + [_SEED_KEYS + list(range(2, 2997))]
+    ), ids=lambda keys: f"{len(keys)}hosts-{keys[0]}")
+    def test_states_match_default_rng(self, seed, keys):
+        spec = dataclasses.replace(FleetSpec.homogeneous(len(keys), seed=seed),
+                                   host_keys=np.array(keys))
+        owner = fleet_module.host_generators(seed, 0, keys)
+        steal = fleet_module.host_generators(seed, 1, keys)
+        assert len(owner) == len(steal) == len(keys)
+        for i, key in enumerate(keys):
+            assert (owner[i].bit_generator.state
+                    == host_rng(spec, i).bit_generator.state), key
+            assert (steal[i].bit_generator.state
+                    == np.random.default_rng([seed, 1, key])
+                    .bit_generator.state), key
+
+    def test_run_fleet_matches_scalar_seeding(self, monkeypatch):
+        spec = dataclasses.replace(
+            FleetSpec.heterogeneous(48, seed=5),
+            host_keys=np.arange(2**32 - 24, 2**32 + 24),
+        )
+        durations = fleet_workload(48, 8.0, 0.25)
+
+        def run():
+            return run_fleet(
+                spec, durations, 200.0, policy="stealing", record_log=True,
+                faults=FaultPlan(seed=6, injectors=(CrashFault(30.0, 2.0),)),
+            )
+
+        bulk = run()
+        monkeypatch.setattr(
+            fleet_module, "host_generators",
+            lambda seed, stream, keys: [np.random.default_rng([seed, stream, k])
+                                        for k in keys],
+        )
+        scalar = run()
+        assert bulk.steals_attempted.sum() > 0 and bulk.crashes.sum() > 0
+        _assert_same_result(bulk, scalar)
 
 
 class TestPlan:
