@@ -108,9 +108,10 @@ def core_speedup_duel(hosts: int = CORE_GATE_HOSTS, reps: int = 3) -> dict:
     presence cycles are short, leaving nothing but owner churn + failed
     dispatch — the event-queue stress regime the core gate is meant to
     protect.  Reps interleave the two cores and the gate compares
-    *medians*: the heap's big live tuple population makes its wall clock
-    GC-noisy (±10%), and a min-of-N would let one lucky heap rep mask a
-    real batched-core regression.
+    *medians*: a shared machine's speed drifts between reps (±10% and
+    more), and a min-of-N would let one lucky heap rep mask a real
+    batched-core regression.  Neither core's time includes cyclic garbage
+    collection, which ``run_fleet`` pauses for the whole run.
     """
     spec = FleetSpec.homogeneous(hosts, family="uniform", param=1.0,
                                  c=0.05, present_mean=0.5, seed=SEED)

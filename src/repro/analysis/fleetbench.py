@@ -16,11 +16,14 @@ Jobs shared by ``repro fleet`` and ``benchmarks/bench_fleet.py``:
   log) trace, the committed task-id sequence, and the fault digest;
 * :func:`cross_core_check` — the batched core must be bit-identical to the
   heap core; :func:`seeding_check` — the bulk-seeded host streams must be
-  ``default_rng([seed, s, key])``'s.
+  ``default_rng([seed, s, key])``'s; :func:`cycle_check` — a run must
+  leave no reference cycles, since ``run_fleet`` pauses the cyclic
+  garbage collector.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from typing import Optional, Sequence
@@ -39,6 +42,7 @@ from ..faults import (
 )
 from ..now.farm import run_farm
 from ..now.fleet import (
+    FLEET_CORES,
     FLEET_POLICIES,
     FleetPlan,
     FleetSpec,
@@ -59,6 +63,7 @@ __all__ = [
     "parity_check",
     "cross_core_check",
     "seeding_check",
+    "cycle_check",
 ]
 
 #: Dyadic default task duration: partial prefix sums are exact in binary
@@ -431,4 +436,55 @@ def seeding_check(seed: int = 7) -> dict:
             scalar = np.random.default_rng([seed, stream, key])
             if rng.bit_generator.state != scalar.bit_generator.state:
                 mismatches.append(f"stream {stream}: key {key}")
+    return {"ok": not mismatches, "checks": checks, "mismatches": mismatches}
+
+
+def cycle_check(
+    seed: int = 7,
+    n_hosts: int = 16,
+    n_tasks: int = 1024,
+    horizon: float = 120.0,
+) -> dict:
+    """Gate: no fleet run may leave cyclic garbage.
+
+    ``run_fleet`` switches the cyclic collector off while it runs, which is
+    free only while refcounting alone frees everything a run drops.  Every
+    policy × core × fault class runs with ``record_log=True`` and its result
+    dropped, under a paused collector.  With automatic collection off, all
+    a run allocates stays in the youngest generation, so a ``gc.collect(0)``
+    after each run finds that run's cycles without rescanning the process;
+    a full ``gc.collect()`` at the end catches any that reach older objects.
+    Both must find no unreachable objects.
+
+    Returns ``{"ok": bool, "checks": int, "mismatches": [str, ...]}``.
+    """
+    spec = FleetSpec.homogeneous(int(n_hosts), seed=seed)
+    plan = plan_fleet_schedules(spec, grid=9)
+    durations = np.full(int(n_tasks), 0.25)
+    mismatches: list[str] = []
+    checks = 0
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for fault_name, injectors in _FAULT_CLASSES:
+            for policy in FLEET_POLICIES:
+                for core in FLEET_CORES:
+                    faults = (FaultPlan(seed=seed + 1, injectors=injectors)
+                              if injectors else None)
+                    run_fleet(spec, durations, horizon, policy=policy,
+                              plan=plan, faults=faults, record_log=True,
+                              core=core)
+                    checks += 1
+                    garbage = gc.collect(0)
+                    if garbage:
+                        mismatches.append(f"{fault_name}/{policy}/{core}: "
+                                          f"{garbage} objects in cycles")
+        checks += 1
+        garbage = gc.collect()
+        if garbage:
+            mismatches.append(f"all runs: {garbage} objects in cycles")
+    finally:
+        if collecting:
+            gc.enable()
     return {"ok": not mismatches, "checks": checks, "mismatches": mismatches}

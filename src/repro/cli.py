@@ -56,10 +56,12 @@ on the CLI, while library callers degrade transparently to NumPy.
     mean-field makespan error per policy.  ``--core`` picks the event
     core (``batched`` calendar queue, default, or the ``heap`` oracle)
     and ``--bucket-width`` tunes the batched core's bucket span.
-    ``--quick`` is the tier-1 smoke: the n = 1 bit-parity gate against
-    ``run_farm`` for both cores, the batched-vs-heap cross-core gate and
-    the bulk-seeding gate (host streams equal ``default_rng``'s; hard
-    failures) and a small 16-host policy table.  ``--profile``
+    ``--quick`` is the tier-1 smoke.  Its hard gates are the n = 1
+    bit-parity gate against ``run_farm`` for both cores, the
+    batched-vs-heap cross-core gate, the bulk-seeding gate (host streams
+    equal ``default_rng``'s) and the cyclic-garbage gate (no run leaves
+    reference cycles, so pausing the collector in ``run_fleet`` skips only
+    scans); then it prints a small 16-host policy table.  ``--profile``
     wraps the run in cProfile and prints the top hotspots.  ``--out``
     writes the JSON record.
 
@@ -319,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--quick", action="store_true",
                          help="tier-1 smoke: n=1 parity gate vs run_farm for "
                               "both cores + the batched-vs-heap cross-core "
-                              "gate + the bulk-seeding gate + a 16-host "
+                              "gate + the bulk-seeding gate + the "
+                              "cyclic-garbage gate + a 16-host "
                               "policy table (~2s)")
     p_fleet.add_argument("--profile", action="store_true",
                          help="run under cProfile and print the top hotspots "
@@ -685,12 +688,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    import functools
     import json
     import time
 
     from .analysis.fleetbench import (
         auto_horizon,
         cross_core_check,
+        cycle_check,
         fleet_workload,
         parity_check,
         run_policy_comparison,
@@ -704,32 +709,30 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     policies = FLEET_POLICIES if args.policy == "all" else (args.policy,)
 
     if args.quick:
+        seed = args.seed + 7
+        gates = [
+            (f"n=1 parity [{core:>7}]",
+             functools.partial(parity_check, seed=seed, family=args.family,
+                               core=core))
+            for core in ("batched", "heap")
+        ] + [
+            ("cross-core parity",
+             functools.partial(cross_core_check, seed=seed,
+                               family=args.family)),
+            ("bulk seeding", functools.partial(seeding_check, seed=seed)),
+            ("cyclic garbage", functools.partial(cycle_check, seed=seed)),
+        ]
         ok = True
-        for core in ("batched", "heap"):
+        for label, check in gates:
             start = time.perf_counter()
-            gate = parity_check(seed=args.seed + 7, family=args.family,
-                                core=core)
-            print(f"n=1 parity [{core:>7}]: "
-                  f"{'ok' if gate['ok'] else 'FAILED'} "
+            gate = check()
+            print(f"{label:<19}: {'ok' if gate['ok'] else 'FAILED'} "
                   f"({gate['checks']} checks, "
                   f"{time.perf_counter() - start:.1f}s)")
             for line in gate["mismatches"]:
                 print(f"  MISMATCH {line}")
             ok = ok and gate["ok"]
-        start = time.perf_counter()
-        gate = cross_core_check(seed=args.seed + 7, family=args.family)
-        print(f"cross-core parity  : {'ok' if gate['ok'] else 'FAILED'} "
-              f"({gate['checks']} checks, {time.perf_counter() - start:.1f}s)")
-        for line in gate["mismatches"]:
-            print(f"  MISMATCH {line}")
-        ok = ok and gate["ok"]
-        start = time.perf_counter()
-        gate = seeding_check(seed=args.seed + 7)
-        print(f"bulk seeding       : {'ok' if gate['ok'] else 'FAILED'} "
-              f"({gate['checks']} checks, {time.perf_counter() - start:.1f}s)")
-        for line in gate["mismatches"]:
-            print(f"  MISMATCH {line}")
-        if not (ok and gate["ok"]):
+        if not ok:
             return 1
         n_hosts, work = 16, 8.0
     else:

@@ -59,8 +59,33 @@ class TaskPool:
 
     @classmethod
     def from_durations(cls, durations: Sequence[float] | np.ndarray) -> "TaskPool":
-        """Build a pool with ids ``0..n-1`` from an array of durations."""
-        return cls(Task(i, float(d)) for i, d in enumerate(durations))
+        """Build a pool with ids ``0..n-1`` from an array of durations.
+
+        The durations are checked once, as an array, so each :class:`Task`
+        is built without re-running its ``__post_init__`` check.
+        """
+        values = np.asarray(durations, dtype=float)
+        if values.ndim != 1:
+            raise WorkloadError(
+                f"durations must be a vector, got shape {values.shape}"
+            )
+        bad = np.flatnonzero(values <= 0)
+        if bad.size:
+            i = int(bad[0])
+            raise WorkloadError(
+                f"task {i} has non-positive duration {float(values[i])}"
+            )
+        floats = values.tolist()
+        new = object.__new__
+        tasks = [new(Task) for _ in floats]
+        for i, (task, d) in enumerate(zip(tasks, floats)):
+            fields = task.__dict__
+            fields["task_id"] = i
+            fields["duration"] = d
+        pool = cls()
+        pool._tasks.extend(tasks)
+        pool._pending_work = float(sum(floats))
+        return pool
 
     @property
     def tasks(self) -> list["Task"]:

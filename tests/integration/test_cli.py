@@ -302,6 +302,8 @@ class TestFleetCommand:
         assert "n=1 parity [batched]: ok" in text
         assert "n=1 parity [   heap]: ok" in text
         assert "cross-core parity  : ok" in text
+        assert "bulk seeding       : ok" in text
+        assert "cyclic garbage     : ok" in text
         assert "sharing" in text and "stealing-latency" in text
 
     def test_core_flag_selects_heap(self, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from repro.analysis.fleetbench import (
     cross_core_check,
+    cycle_check,
     fleet_workload,
     parity_check,
     run_policy_comparison,
@@ -166,6 +168,55 @@ class TestOwnerTimelineBoundaries:
         assert not result.finished
 
 
+class TestCollectorPause:
+    """run_fleet runs with the cyclic collector off and hands the caller's
+    setting back; the pause is free because a run makes no cycles."""
+
+    def _run(self, core="batched"):
+        spec = FleetSpec.homogeneous(4, seed=2)
+        return run_fleet(spec, np.full(64, 0.25), 60.0, policy="stealing",
+                         core=core)
+
+    @pytest.mark.parametrize("core", FLEET_CORES)
+    def test_paused_inside_and_restored(self, monkeypatch, core):
+        seen = []
+        leave = fleet_module._Rules.leave
+
+        def spy(rules, h, now, reclaim_at):
+            seen.append(gc.isenabled())
+            return leave(rules, h, now, reclaim_at)
+
+        monkeypatch.setattr(fleet_module._Rules, "leave", spy)
+        assert gc.isenabled()
+        self._run(core)
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_caller_disabled_stays_disabled(self):
+        gc.disable()
+        try:
+            self._run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("core", FLEET_CORES)
+    def test_restored_when_a_handler_raises(self, monkeypatch, core):
+        def boom(rules, h, now):
+            raise RuntimeError("handler failed mid-drain")
+
+        monkeypatch.setattr(fleet_module._Rules, "dispatch", boom)
+        with pytest.raises(RuntimeError, match="mid-drain"):
+            self._run(core)
+        assert gc.isenabled()
+
+    def test_runs_leave_no_cyclic_garbage(self):
+        # Every policy x core x fault class, record_log=True.
+        report = cycle_check()
+        assert report["ok"], report["mismatches"]
+        assert report["checks"] == 3 * 2 * 7 + 1
+
+
 def _packed_schedule(periods, c: float, speed: float,
                      duration: float) -> Schedule:
     """The schedule a dispatch actually runs on identical dyadic tasks.
@@ -286,6 +337,17 @@ class TestFleetSpec:
                 present_means=np.full(2, 8.0),
                 host_keys=np.array([3, 3]),
             )
+
+    @pytest.mark.parametrize("field", ["cs", "present_means"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rates_rejected(self, field, bad):
+        # A NaN present mean used to run as an always-absent host, and a
+        # NaN or inf c failed deep inside the t0 search.
+        columns = {"cs": np.ones(2), "present_means": np.full(2, 8.0)}
+        columns[field] = np.array([1.0, bad])
+        with pytest.raises(SimulationError, match=rf"^{field}\b"):
+            FleetSpec(family="uniform", params=np.full(2, 64.0),
+                      speeds=np.ones(2), **columns)
 
     @pytest.mark.parametrize("field,kwargs", [
         ("host_keys", {"host_keys": np.array([0, -1])}),

@@ -31,6 +31,36 @@ class TestTaskPool:
         assert pool.pending_work == pytest.approx(6.0)
         assert not pool.exhausted
 
+    def test_from_durations_builds_plain_tasks(self):
+        durations = np.array([0.5, 0.1, 0.2, 0.3, 2.0**-40])
+        pool = TaskPool.from_durations(durations)
+        expected = [Task(i, float(d)) for i, d in enumerate(durations)]
+        assert pool.tasks == expected
+        assert [hash(t) for t in pool] == [hash(t) for t in expected]
+        assert all(type(t.duration) is float for t in pool)
+        # The same left-to-right float sum the per-task constructor takes.
+        assert pool.pending_work == float(sum(t.duration for t in expected))
+        with pytest.raises(AttributeError):
+            pool.tasks[0].duration = 1.0  # still frozen
+
+    @pytest.mark.parametrize("durations,bad", [
+        ([1.0, 0.0, -2.0], "task 1 has non-positive duration 0.0"),
+        (np.array([0.5, 0.25, -3.0, 0.0]), "task 2 has non-positive duration -3.0"),
+        ([-0.0], "task 0 has non-positive duration -0.0"),
+    ])
+    def test_from_durations_names_first_bad_task(self, durations, bad):
+        with pytest.raises(WorkloadError, match=f"^{bad}$"):
+            TaskPool.from_durations(durations)
+
+    def test_from_durations_rejects_non_vector(self):
+        with pytest.raises(WorkloadError, match="vector"):
+            TaskPool.from_durations(np.ones((2, 3)))
+
+    def test_from_durations_empty(self):
+        pool = TaskPool.from_durations([])
+        assert pool.exhausted
+        assert pool.pending_work == 0.0
+
     def test_checkout_fifo_prefix(self):
         pool = TaskPool.from_durations([1.0, 2.0, 3.0, 1.0])
         taken = pool.checkout(3.5)
