@@ -107,7 +107,6 @@ def run_policy_comparison(
     policies: Sequence[str] = FLEET_POLICIES,
     plan: Optional[FleetPlan] = None,
     grid: int = 9,
-    engine: str = "numpy",
     faults: Optional[FaultPlan] = None,
     steal_fraction: float = 0.5,
     core: str = "batched",
@@ -115,7 +114,7 @@ def run_policy_comparison(
 ) -> dict:
     """Simulate every policy on one spec; record metrics + mean-field errors."""
     if plan is None:
-        plan = plan_fleet_schedules(spec, grid=grid, engine=engine)
+        plan = plan_fleet_schedules(spec, grid=grid)
     total_work = float(np.sum(durations))
     record: dict = {
         "hosts": spec.n_hosts,
@@ -124,7 +123,6 @@ def run_policy_comparison(
         "tasks": int(durations.size),
         "total_work": total_work,
         "horizon": horizon,
-        "engine": engine,
         "core": core,
         "policies": {},
     }

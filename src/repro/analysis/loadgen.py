@@ -288,15 +288,9 @@ def _build_server(
     families: Sequence[str],
     grid_points: int,
     search_grid: int,
-    engine: str = "numpy",
 ) -> PlanServer:
-    """A :class:`PlanServer` over freshly warmed tables (+ shared cache).
-
-    ``engine="jit"`` routes both the table tier's hetero recurrence and the
-    optimizer tier's grid sweep through :mod:`repro.jitkernels` (transparent
-    NumPy fallback when numba is unavailable).
-    """
-    table_server = TableServer(cache_dir=cache_dir, engine=engine)
+    """A :class:`PlanServer` over freshly warmed tables (+ shared cache)."""
+    table_server = TableServer(cache_dir=cache_dir)
     grids = {
         fam: tuple(np.geomspace(g[0], g[-1], grid_points) for g in default_grids(fam))
         for fam in families
@@ -306,11 +300,7 @@ def _build_server(
     if cache is None:
         cache = PlanCache()
         table_server.cache = cache
-    return PlanServer(
-        table_server=table_server,
-        cache=cache,
-        search_engine="jit" if engine == "jit" else None,
-    )
+    return PlanServer(table_server=table_server, cache=cache)
 
 
 def run_servebench(
@@ -325,7 +315,6 @@ def run_servebench(
     families: Optional[Sequence[str]] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     open_loop: bool = True,
-    engine: str = "numpy",
 ) -> dict[str, Any]:
     """The full servebench record: scalar vs batched vs open-loop.
 
@@ -335,11 +324,6 @@ def run_servebench(
     256).  The record carries a ``parity_ok`` flag — batched plans checked
     bit-identical against the scalar loop — and the measured
     ``batch_speedup``; interpret throughput only when parity holds.
-
-    ``engine="jit"`` builds every server over the compiled
-    :mod:`repro.jitkernels` engines (NumPy fallback without numba); both the
-    scalar and batched runners use it, so the parity gate still compares
-    like with like.
     """
     if quick:
         queries = min(queries, 256)
@@ -354,8 +338,8 @@ def run_servebench(
     build_start = time.perf_counter()
     # Independent servers per runner: tier stats, breakers, and cache warmth
     # must not leak between the baseline and the batched run.
-    scalar_server = _build_server(cache_dir, fams, grid_points, search_grid, engine)
-    batched_server = _build_server(cache_dir, fams, grid_points, search_grid, engine)
+    scalar_server = _build_server(cache_dir, fams, grid_points, search_grid)
+    batched_server = _build_server(cache_dir, fams, grid_points, search_grid)
     warm_seconds = time.perf_counter() - build_start
 
     mix = zipf_query_mix(
@@ -386,7 +370,6 @@ def run_servebench(
             "grid_points": grid_points,
             "search_grid": search_grid,
             "families": fams,
-            "engine": engine,
         },
         "warm_seconds": warm_seconds,
         "scalar": scalar.as_dict(),
@@ -404,7 +387,7 @@ def run_servebench(
         },
     }
     if open_loop:
-        open_server = _build_server(cache_dir, fams, grid_points, search_grid, engine)
+        open_server = _build_server(cache_dir, fams, grid_points, search_grid)
         open_report = run_open_loop(
             open_server, mix, max_batch=batch_size, max_delay_ms=2.0
         )

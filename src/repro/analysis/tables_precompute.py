@@ -484,17 +484,7 @@ class TableServer:
         cache_dir: Optional[Union[str, Path]] = None,
         cache: Optional[PlanCache] = None,
         mmap_tables: bool = True,
-        engine: str = "numpy",
     ) -> None:
-        if engine not in ("numpy", "jit"):
-            raise PlanCacheError(
-                f"unknown engine {engine!r}; expected 'numpy' or 'jit'"
-            )
-        # "jit" routes the hetero recurrence (interpolation polish + final
-        # regeneration) and the optimizer fallback's grid sweep through the
-        # compiled kernels; it degrades transparently to the NumPy engines
-        # when numba is unavailable.
-        self.engine = engine
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if cache is None and self.cache_dir is not None:
             # A private cache over the server's own directory — deliberately
@@ -580,10 +570,7 @@ class TableServer:
                 continue
             p = make_family_life(fams[i], float(vs_arr[i]), self._family_fixed(fams[i]))
             t0, outcome, ew = optimize_t0_via_recurrence(
-                p,
-                float(cs_arr[i]),
-                engine="jit" if self.engine == "jit" else "batch",
-                cache=self.cache,
+                p, float(cs_arr[i]), cache=self.cache
             )
             answers[i] = ServedPlan(
                 family=fams[i], c=float(cs_arr[i]), param_value=float(vs_arr[i]),
@@ -703,9 +690,7 @@ class TableServer:
         if polish:
             best_t, batch = self._polish_batch(family, d, lcs, lvs, lo, hi, best_t)
         else:
-            batch = generate_schedules_hetero(
-                family, lcs, lvs, best_t, d=d, engine=self.engine
-            )
+            batch = generate_schedules_hetero(family, lcs, lvs, best_t, d=d)
         for k, i in enumerate(live):
             results[int(i)] = ServedPlan(
                 family=family, c=float(cs[i]), param_value=float(vs[i]),
@@ -751,7 +736,6 @@ class TableServer:
                 np.repeat(lvs, k_pts + 1),
                 flat,
                 d=d,
-                engine=self.engine,
             )
             scores = batch.expected_work.reshape(n, k_pts + 1)
             pick = np.argmax(scores, axis=1)

@@ -13,11 +13,11 @@ Commands
     family, and print the best schedule for a given overhead.
 ``mc``
     Monte-Carlo validation of eq. (2.1): simulate episodes of the guideline
-    schedule on a chosen engine (``--engine vectorized|jit|scalar``) and
+    schedule on a chosen engine (``--engine vectorized|scalar``) and
     compare the sample mean against the analytic expected work.
 ``t0opt``
     Optimize ``t_0`` over the Corollary 3.1 recurrence family on a chosen
-    search engine (``--engine batch|jit|scalar``) and grid resolution,
+    search engine (``--engine batch|scalar``) and grid resolution,
     printing the chosen ``t_0``, period count, and expected work.
 ``plancache``
     Manage the schedule plan cache and precomputed guideline tables:
@@ -35,13 +35,7 @@ Commands
     multi-worker tier: a scaling curve over 1..N shard processes, each
     count bit-parity gated against the single-process server
     (``--out BENCH_shard.json``; ``--min-scaling`` opts into the
-    throughput gate on multi-core hosts).  ``--engine jit`` benchmarks the
-    compiled :mod:`repro.jitkernels` serving engines (single-process only;
-    errors when numba is unavailable).
-
-``--engine jit`` anywhere requires the optional numba extra
-(``pip install 'repro[jit]'``); naming it without usable numba is an error
-on the CLI, while library callers degrade transparently to NumPy.
+    throughput gate on multi-core hosts).
 ``chaos``
     Run the fault-matrix sweep (every fault class x a rate grid x seeds)
     through the resilient farm + serving stack, print the goodput
@@ -172,18 +166,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of simulated episodes (default 100000)")
     p_mc.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_mc.add_argument("--engine", default="vectorized",
-                      choices=["vectorized", "jit", "scalar"],
-                      help="batch simulation engine (default vectorized; "
-                           "jit needs the numba extra)")
+                      choices=["vectorized", "scalar"],
+                      help="batch simulation engine (default vectorized)")
     p_mc.add_argument("--confidence", type=float, default=0.95,
                       help="CI coverage probability (default 0.95)")
 
     p_t0 = sub.add_parser("t0opt", help="optimize t0 over the recurrence family")
     _add_family_args(p_t0)
     p_t0.add_argument("--engine", default="batch",
-                      choices=["batch", "jit", "scalar"],
-                      help="recurrence search engine (default batch; "
-                           "jit needs the numba extra)")
+                      choices=["batch", "scalar"],
+                      help="recurrence search engine (default batch)")
     p_t0.add_argument("--grid", type=int, default=129,
                       help="t0 grid resolution over the bracket (default 129)")
     p_t0.add_argument("--widen", type=float, default=1.5,
@@ -259,10 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sb.add_argument("--mp-method", default=None,
                       choices=("fork", "spawn", "forkserver"),
                       help="multiprocessing start method (default: platform)")
-    p_sb.add_argument("--engine", default="numpy", choices=("numpy", "jit"),
-                      help="serving recurrence engine (default numpy; jit "
-                           "needs the numba extra and is single-process "
-                           "only — not combinable with --workers)")
 
     p_chaos = sub.add_parser(
         "chaos", help="fault-matrix sweep: goodput under injected faults")
@@ -308,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_fleet.add_argument("--grid", type=int, default=9,
                          help="t0 grid lanes per host while planning (default 9)")
-    p_fleet.add_argument("--engine", default="numpy", choices=("numpy", "jit"),
-                         help="schedule-planning recurrence engine (default "
-                              "numpy; jit needs the numba extra)")
     p_fleet.add_argument("--core", default="batched",
                          choices=("batched", "heap"),
                          help="event core: bucketed calendar queue (default) "
@@ -401,28 +386,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_jit_engine(engine: str) -> None:
-    """Fail fast when the user *names* the jit engine without usable numba.
-
-    The library's ``engine="jit"`` degrades silently to NumPy, which is
-    right for programmatic callers but would misreport what the CLI actually
-    benchmarked — so an explicit ``--engine jit`` errors instead.
-    """
-    if engine != "jit":
-        return
-    from . import jitkernels
-    from .exceptions import JITUnavailableError
-
-    try:
-        jitkernels.require("--engine jit")
-    except JITUnavailableError as exc:
-        raise SystemExit(str(exc)) from None
-
-
 def _cmd_mc(args: argparse.Namespace) -> int:
     from .simulation import estimate_expected_work
 
-    _check_jit_engine(args.engine)
     if not 0.0 < args.confidence < 1.0:
         raise SystemExit(f"--confidence must lie in (0, 1), got {args.confidence}")
     p = make_life_function(args)
@@ -444,7 +410,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_t0opt(args: argparse.Namespace) -> int:
-    _check_jit_engine(args.engine)
     if args.grid < 2:
         raise SystemExit(f"--grid must be >= 2, got {args.grid}")
     p = make_life_function(args)
@@ -554,14 +519,7 @@ def _cmd_servebench(args: argparse.Namespace) -> int:
 
     from .analysis.loadgen import run_servebench
 
-    _check_jit_engine(args.engine)
     if args.workers is not None:
-        if args.engine == "jit":
-            raise SystemExit(
-                "--engine jit is not supported with --workers; the sharded "
-                "tier benchmarks the NumPy engines (drop --workers to "
-                "benchmark the jit engine single-process)"
-            )
         return _cmd_servebench_sharded(args)
     record = run_servebench(
         queries=args.queries,
@@ -572,7 +530,6 @@ def _cmd_servebench(args: argparse.Namespace) -> int:
         quick=args.quick,
         grid_points=args.grid_points,
         search_grid=args.search_grid,
-        engine=args.engine,
     )
     cfg = record["config"]
     print(f"servebench    : {cfg['queries']} queries, batch {cfg['batch_size']}, "
@@ -703,7 +660,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     from .now.fleet import FLEET_POLICIES, FleetSpec, plan_fleet_schedules
 
-    _check_jit_engine(args.engine)
     if args.hosts < 1:
         raise SystemExit(f"--hosts must be >= 1, got {args.hosts}")
     policies = FLEET_POLICIES if args.policy == "all" else (args.policy,)
@@ -748,7 +704,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         spec = FleetSpec.homogeneous(n_hosts, family=args.family,
                                      seed=args.seed)
     durations = fleet_workload(n_hosts, work, args.task_duration)
-    plan = plan_fleet_schedules(spec, grid=args.grid, engine=args.engine)
+    plan = plan_fleet_schedules(spec, grid=args.grid)
     horizon = args.horizon
     if horizon is None:
         horizon = auto_horizon(spec, plan, float(np.sum(durations)))
@@ -761,7 +717,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         profiler.enable()
     record = run_policy_comparison(
         spec, durations, horizon, policies=policies, plan=plan,
-        grid=args.grid, engine=args.engine, steal_fraction=args.steal_fraction,
+        grid=args.grid, steal_fraction=args.steal_fraction,
         core=args.core, bucket_width=args.bucket_width,
     )
     if args.profile:

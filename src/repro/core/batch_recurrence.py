@@ -122,7 +122,6 @@ def generate_schedules_batch(
     max_periods: int = 10_000,
     tail_tol: float = 1e-12,
     use_closed_form: bool = True,
-    engine: str = "numpy",
 ) -> BatchRecurrenceResult:
     """Iterate system (3.6) from every ``t_0`` in ``t0s`` simultaneously.
 
@@ -138,14 +137,8 @@ def generate_schedules_batch(
     ``(c, θ)`` lanes through
     :func:`~repro.core.hetero_recurrence.generate_schedules_hetero`; any
     other ``p``, or ``use_closed_form=False``, runs the generic
-    p/p'/p^{-1} kernel.  ``engine`` is passed to that hetero call, so
-    ``"jit"`` runs the compiled lane loop from :mod:`repro.jitkernels` when
-    numba is importable and enabled, and silently runs the NumPy loop in
-    every other case; callers may request ``"jit"`` unconditionally.
-    Targets are reconstructed and expected work rescored with
-    :func:`batch_expected_work` either way, and jit periods agree with the
-    NumPy engine bit-for-bit except at the transcendental sites documented
-    in :mod:`repro.jitkernels.kernels` (``<= a`` few ULP).
+    p/p'/p^{-1} kernel.  Targets are reconstructed and expected work
+    rescored with :func:`batch_expected_work` either way.
 
     Raises
     ------
@@ -154,10 +147,6 @@ def generate_schedules_batch(
         has ``t0 <= c`` (every initial period must be productive, exactly as
         the scalar engine requires).
     """
-    if engine not in ("numpy", "jit"):
-        raise InvalidScheduleError(
-            f"unknown engine {engine!r}; expected 'numpy' or 'jit'"
-        )
     if c < 0:
         raise InvalidScheduleError(f"overhead c must be nonnegative, got {c}")
     t0_arr = np.asarray(t0s, dtype=float)
@@ -180,7 +169,7 @@ def generate_schedules_batch(
         family, d, theta = mapped
         lanes = generate_schedules_hetero(
             family, cs, np.full(n, float(theta)), t0_arr, d=d,
-            max_periods=max_periods, tail_tol=tail_tol, engine=engine,
+            max_periods=max_periods, tail_tol=tail_tol,
         )
         periods, num_periods, term = lanes.periods, lanes.num_periods, lanes.termination_codes
     else:
@@ -231,8 +220,8 @@ def _targets_from_periods(
     Column ``k`` of the result is ``p(T_k) + (t_k - c) p'(T_k)`` wherever
     period ``k + 1`` was emitted — exactly the value the NumPy engine records
     in its loop, because boundary accumulation is sequential in both places
-    and ``p`` / ``p.derivative`` are elementwise.  Lets the lane loop (and
-    the compiled kernel) skip recording targets without losing diagnostics.
+    and ``p`` / ``p.derivative`` are elementwise.  Lets the lane loop skip
+    recording targets without losing diagnostics.
     """
     n, width = periods.shape
     if width <= 1:
@@ -249,7 +238,7 @@ def _targets_from_periods(
 
 
 def batch_expected_work(
-    periods: FloatArray, p: LifeFunction, c: float, engine: str = "numpy"
+    periods: FloatArray, p: LifeFunction, c: float
 ) -> FloatArray:
     """Row-wise eq. (2.1) over a NaN-padded ``(n_lanes, max_m)`` period block.
 
@@ -257,34 +246,9 @@ def batch_expected_work(
     padding contributes nothing (its work term is zeroed).  Matches
     :meth:`repro.core.schedule.Schedule.expected_work` lane-wise up to
     summation-order float noise.
-
-    ``engine="jit"`` uses the compiled row scorer when numba is usable and
-    ``p`` is a Section 4 family (NumPy fallback otherwise).  The compiled
-    scorer accumulates each row left to right like the scalar engine, so its
-    values may differ from the NumPy path's pairwise row reduction by
-    summation-order float noise — the same relationship the scalar and NumPy
-    engines already have with each other.
     """
-    if engine not in ("numpy", "jit"):
-        raise InvalidScheduleError(
-            f"unknown engine {engine!r}; expected 'numpy' or 'jit'"
-        )
     if c < 0:
         raise InvalidScheduleError(f"overhead c must be nonnegative, got {c}")
-    if engine == "jit":
-        from .. import jitkernels
-
-        mapped = family_of(p)
-        if mapped is not None and jitkernels.available():
-            fam, d, theta = mapped
-            n = np.asarray(periods).shape[0]
-            return jitkernels.kernels().expected_work_rows(
-                np.ascontiguousarray(periods, dtype=np.float64),
-                jitkernels.family_code(fam),
-                int(d),
-                np.full(n, float(c)),
-                np.full(n, float(theta)),
-            )
     filled = np.where(np.isnan(periods), 0.0, periods)
     boundaries = np.cumsum(filled, axis=1)
     survival = np.asarray(p(boundaries), dtype=float)

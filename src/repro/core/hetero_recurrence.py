@@ -242,7 +242,6 @@ def generate_schedules_hetero(
     d: int = 1,
     max_periods: int = 10_000,
     tail_tol: float = 1e-12,
-    engine: str = "numpy",
 ) -> HeteroBatchResult:
     """Iterate system (3.6) over lanes with per-lane ``(c, θ, t0)``.
 
@@ -252,23 +251,12 @@ def generate_schedules_hetero(
     period-for-period, with the engine-internal expected work accumulated in
     the scalar engine's left-to-right order.
 
-    ``engine="jit"`` runs the compiled per-lane loop from
-    :mod:`repro.jitkernels` when numba is importable and enabled, silently
-    falling back to this NumPy path otherwise; the compiled loop replays the
-    same operations per lane, so results agree bit-for-bit except at the
-    transcendental sites documented in :mod:`repro.jitkernels.kernels`.
-
     Raises
     ------
     InvalidScheduleError
-        On an unsupported family, mismatched lane vectors, an unknown
-        ``engine``, any ``c < 0``, or any non-finite / unproductive
-        (``t0 <= c``) initial period.
+        On an unsupported family, mismatched lane vectors, any ``c < 0``, or
+        any non-finite / unproductive (``t0 <= c``) initial period.
     """
-    if engine not in ("numpy", "jit"):
-        raise InvalidScheduleError(
-            f"unknown engine {engine!r}; expected 'numpy' or 'jit'"
-        )
     if family not in HETERO_FAMILIES:
         raise InvalidScheduleError(
             f"family {family!r} has no heterogeneous batch kernel; "
@@ -295,31 +283,6 @@ def generate_schedules_hetero(
             f"c = {cs[bad]} (lane {bad})"
         )
     d = int(d) if family == "poly" else 1
-
-    if engine == "jit":
-        from .. import jitkernels
-
-        if jitkernels.available():
-            periods, num_periods, term, e_full = jitkernels.kernels().hetero_recurrence(
-                jitkernels.family_code(family),
-                d,
-                np.ascontiguousarray(cs, dtype=np.float64),
-                np.ascontiguousarray(params, dtype=np.float64),
-                np.ascontiguousarray(t0_arr, dtype=np.float64),
-                int(max_periods),
-                float(tail_tol),
-            )
-            return HeteroBatchResult(
-                family=family,
-                cs=cs,
-                params=params,
-                t0s=t0_arr,
-                periods=periods,
-                num_periods=num_periods,
-                termination_codes=term,
-                expected_work=e_full,
-            )
-        # No usable numba: transparent NumPy fallback.
 
     row = FAMILY_TABLE[family]
     periods, num_periods, term, e_full = run_lanes(

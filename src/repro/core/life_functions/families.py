@@ -50,9 +50,8 @@ recurrence reads it with ``θ`` per lane, and the fleet reads it with ``θ`` per
 host row, so all of them round identically.  :func:`make` builds a family's
 life function from table coordinates and :func:`family_of` maps an instance
 of an exact family class back to ``(family, d, θ)``.  The scalar oracle
-(:mod:`repro.core.recurrence`) and the compiled mirror
-(:mod:`repro.jitkernels.kernels`) keep their own copies on purpose: they are
-what this table is checked against.
+(:mod:`repro.core.recurrence`) keeps its own copy on purpose: it is what this
+table is checked against.
 """
 
 from __future__ import annotations

@@ -305,11 +305,9 @@ class PlanServer:
         harness's entry point into the serving stack.
     search_engine:
         The ``optimize_t0_via_recurrence`` engine the optimizer tier runs
-        (``"batch"``, ``"scalar"``, or ``"jit"``) and the cache tier keys its
-        peek on.  ``"jit"`` uses the compiled :mod:`repro.jitkernels` sweep
-        where numba is usable and degrades transparently otherwise; note the
-        engine is part of the plan-cache key, so the cache tier only sees
-        entries written by an optimizer tier running the same engine.
+        (``"batch"`` or ``"scalar"``) and the cache tier keys its peek on.
+        The engine is part of the plan-cache key, so the cache tier only
+        sees entries written by an optimizer tier running the same engine.
 
     A query that *no* tier can answer raises
     :class:`~repro.exceptions.PlanServingError`; per-tier outcomes accumulate
@@ -336,10 +334,10 @@ class PlanServer:
         search_engine: Optional[str] = None,
     ) -> None:
         if search_engine is not None:
-            if search_engine not in ("batch", "scalar", "jit"):
+            if search_engine not in ("batch", "scalar"):
                 raise ValueError(
                     f"unknown search_engine {search_engine!r}; expected "
-                    f"'batch', 'scalar', or 'jit'"
+                    f"'batch' or 'scalar'"
                 )
             # Shadows the class default for this server only; both the cache
             # tier's key and the optimizer tier's sweep read it, so the two

@@ -140,14 +140,3 @@ class ShardWorkerError(ShardingError):
 
 class FittingError(CycleStealingError):
     """Life-function fitting from trace data failed."""
-
-
-class JITUnavailableError(CycleStealingError):
-    """A JIT-compiled kernel was explicitly requested but cannot be provided.
-
-    Raised only by entry points where the caller *named* the ``jit`` engine
-    and silent fallback would be surprising (the CLI ``--engine jit`` flags,
-    :func:`repro.jitkernels.require`).  Library engine selection never raises
-    this: ``engine="jit"`` degrades transparently to the NumPy path when
-    numba is absent or disabled via ``REPRO_DISABLE_JIT``.
-    """

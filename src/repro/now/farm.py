@@ -233,8 +233,10 @@ def run_farm(
         Optional :class:`RetryPolicy` enabling the resilient dispatch path
         for lost messages (timeout + bounded, jittered exponential backoff).
     """
-    if horizon <= 0:
-        raise SimulationError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise SimulationError(
+            f"horizon must be positive and finite, got {horizon}"
+        )
     tasks_total = pool.pending_count
     c = network.c
     runtime: Optional[FaultRuntime] = None

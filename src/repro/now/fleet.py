@@ -10,9 +10,9 @@ This module rebuilds the same simulation for *N* hosts around three ideas:
    the per-host life-function family parameters, overheads ``c``, relative
    speeds, and owner presence means as NumPy vectors.  Schedules for all
    hosts come from *one* lane-batched call into the heterogeneous recurrence
-   engine (:func:`repro.core.hetero_recurrence.generate_schedules_hetero`,
-   ``engine="jit"`` supported): a ``grid``-point ``t_0`` search window per
-   host (closed-form Section 4 brackets, vectorized in
+   engine (:func:`repro.core.hetero_recurrence.generate_schedules_hetero`):
+   a ``grid``-point ``t_0`` search window per host (closed-form Section 4
+   brackets, vectorized in
    :func:`repro.core.t0_bounds.family_bracket_batch`) is evaluated as
    ``N × grid`` lanes and argmax-reduced per host — not 10k optimizer
    invocations.  Results come back as SoA arrays (:class:`FleetResult`).
@@ -47,9 +47,9 @@ This module rebuilds the same simulation for *N* hosts around three ideas:
    256-wide blocks per host, the family inverse transform vectorized
    across hosts, one ``np.cumsum`` per chunk — the same left-to-right float
    additions the lazy path performs), sorts them with the crash/restart
-   arrays once (``np.lexsort`` or the ``fleet_event_order`` JIT kernel)
-   into fixed-width time buckets, and drains one bucket's cohort at a time;
-   only period ends born inside the current bucket pay a ``bisect.insort``.
+   arrays once (``np.lexsort``) into fixed-width time buckets, and drains
+   one bucket's cohort at a time; only period ends born inside the current
+   bucket pay a ``bisect.insort``.
    :func:`run_fleet` switches the cyclic garbage collector off for the
    whole run: the core makes no reference cycles (the ``cycle_check`` gate
    in ``repro fleet --quick`` holds it to that), so refcounting frees all
@@ -157,7 +157,7 @@ _BLOCK = 256  # OwnerProcess's draw-buffer width; must match for bit parity.
 # field against overflow instead of trusting an unbounded counter.
 _SEQ_EPOCH_BITS = 32
 _SEQ_EPOCH_MASK = (1 << _SEQ_EPOCH_BITS) - 1
-_MAX_HOSTS = 1 << 30  # keeps seq inside a signed int64 for the JIT kernels
+_MAX_HOSTS = 1 << 30  # keeps seq inside a signed int64
 _TIMELINE_CHUNK = 4096  # hosts per vectorized owner-timeline batch
 
 #: Default heterogeneity ranges per family: (param range, c range).
@@ -432,7 +432,6 @@ class FleetPlan:
     #: Engine ``E(S; p)`` per host (unit speed; multiply by speed for rate).
     expected_work: np.ndarray
     grid: int
-    engine: str
 
     @property
     def n_hosts(self) -> int:
@@ -443,15 +442,12 @@ class FleetPlan:
         return Schedule(self.periods[i, :m])
 
 
-def plan_fleet_schedules(
-    spec: FleetSpec, grid: int = 9, engine: str = "numpy"
-) -> FleetPlan:
+def plan_fleet_schedules(spec: FleetSpec, grid: int = 9) -> FleetPlan:
     """Plan every host's schedule in one heterogeneous-engine call.
 
     Builds a ``grid``-point ``t_0`` window per host from the vectorized
     Section 4 closed-form brackets, evaluates all ``n_hosts × grid`` lanes
-    through :func:`generate_schedules_hetero` (``engine="jit"`` uses the
-    compiled lane loop when numba is available), and keeps each host's
+    through :func:`generate_schedules_hetero`, and keeps each host's
     argmax-``E`` lane.
     """
     if grid < 1:
@@ -470,7 +466,6 @@ def plan_fleet_schedules(
         np.repeat(spec.params, grid),
         t0_grid.ravel(),
         d=spec.d,
-        engine=engine,
     )
     ew = result.expected_work.reshape(n, grid)
     best = np.argmax(ew, axis=1)
@@ -483,7 +478,6 @@ def plan_fleet_schedules(
         num_periods=result.num_periods[rows].astype(np.int64),
         expected_work=ew[np.arange(n), best],
         grid=grid,
-        engine=engine,
     )
 
 
@@ -501,22 +495,17 @@ class _RangePool:
     (``used + d <= budget + 1e-12``) range-by-range: a binary search (or a
     mean-duration hint) lands near the cut, then an exact fix-up loop
     applies the literal scalar condition, so dyadic-duration workloads pack
-    bit-identically.  ``fixup`` optionally routes the clamp + scan loops
-    through the ``fleet_checkout_fixup`` JIT kernel (``engine="jit"``).
+    bit-identically.
     """
 
-    __slots__ = ("ranges", "cum", "count", "fixup")
+    __slots__ = ("ranges", "cum", "count")
 
     def __init__(
-        self,
-        ranges: Sequence[tuple[int, int]],
-        cum: np.ndarray,
-        fixup=None,
+        self, ranges: Sequence[tuple[int, int]], cum: np.ndarray
     ) -> None:
         self.ranges: deque[tuple[int, int]] = deque(ranges)
         self.cum = cum
         self.count = sum(hi - lo for lo, hi in self.ranges)
-        self.fixup = fixup
 
     def checkout(
         self, budget: float, inv_mean: float = 0.0
@@ -554,19 +543,16 @@ class _RangePool:
                 j = lo + int((limit - used) * inv_mean)
             else:
                 j = int(cum.searchsorted(limit - used + base, side="right")) - 1
-            if self.fixup is not None:
-                j = int(self.fixup(cum, base, used, limit, lo, hi, j))
-            else:
-                if j < lo:
-                    j = lo
-                elif j > hi:
-                    j = hi
-                # Exact fix-up: the scalar pool admits task k iff
-                # used + (cum[k+1] - base) <= budget + 1e-12.
-                while j < hi and used + (item(j + 1) - base) <= limit:
-                    j += 1
-                while j > lo and used + (item(j) - base) > limit:
-                    j -= 1
+            if j < lo:
+                j = lo
+            elif j > hi:
+                j = hi
+            # Exact fix-up: the scalar pool admits task k iff
+            # used + (cum[k+1] - base) <= budget + 1e-12.
+            while j < hi and used + (item(j + 1) - base) <= limit:
+                j += 1
+            while j > lo and used + (item(j) - base) > limit:
+                j -= 1
             if j > lo:
                 used += item(j) - base
                 taken.append((lo, j))
@@ -984,20 +970,6 @@ def _partition(n_tasks: int, n_hosts: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(n_hosts)]
 
 
-def _fleet_kernels():
-    """The compiled ``(checkout_fixup, event_order)`` pair, or ``(None, None)``.
-
-    Resolved lazily so ``engine="numpy"`` runs never import the probe and
-    numba-less installs transparently fall back to the Python/NumPy paths.
-    """
-    from .. import jitkernels
-
-    if not jitkernels.available():
-        return None, None
-    k = jitkernels.kernels()
-    return k.fleet_checkout_fixup, k.fleet_event_order
-
-
 def _plan_owner_timelines(
     spec: FleetSpec,
     hosts: list,
@@ -1206,7 +1178,6 @@ def _drain_batched(
     start_absent: bool,
     churn: tuple,
     bucket_width: Optional[float],
-    event_order,
 ) -> int:
     """The calendar-queue core: every static event precomputed and sorted
     once, then drained bucket by bucket.  Returns the events processed.
@@ -1219,10 +1190,7 @@ def _drain_batched(
     )
     st_t, st_p, st_s = (np.concatenate(pair)
                         for pair in zip(owner_events, churn))
-    if event_order is not None:
-        order = event_order(st_t, st_p, st_s)
-    else:
-        order = np.lexsort((st_s, st_p, st_t))
+    order = np.lexsort((st_s, st_p, st_t))
     st_t = st_t[order]
     st_p = st_p[order]
     st_s = st_s[order]
@@ -1339,7 +1307,6 @@ def run_fleet(
     policy: str = "sharing",
     plan: Optional[FleetPlan] = None,
     grid: int = 9,
-    engine: str = "numpy",
     faults: Optional[FaultPlan] = None,
     start_absent: bool = False,
     record_log: bool = False,
@@ -1396,10 +1363,15 @@ def run_fleet(
     durations = np.asarray(durations, dtype=float)
     if durations.ndim != 1 or durations.size == 0:
         raise SimulationError("durations must be a non-empty vector")
-    if np.any(durations <= 0):
-        raise SimulationError("task durations must be positive")
+    bad = np.flatnonzero(~((durations > 0) & (durations < np.inf)))
+    if bad.size:
+        i = int(bad[0])
+        raise SimulationError(
+            f"task durations must be positive and finite, got "
+            f"{durations[i]} at index {i}"
+        )
     if plan is None:
-        plan = plan_fleet_schedules(spec, grid=grid, engine=engine)
+        plan = plan_fleet_schedules(spec, grid=grid)
     if plan.n_hosts != spec.n_hosts:
         raise SimulationError(
             f"plan covers {plan.n_hosts} hosts, spec has {spec.n_hosts}"
@@ -1414,15 +1386,11 @@ def run_fleet(
     cum = np.concatenate(([0.0], np.cumsum(durations)))
     stealing = policy != "sharing"
 
-    checkout_fixup = event_order = None
-    if engine == "jit":
-        checkout_fixup, event_order = _fleet_kernels()
-
     if stealing:
-        pools = [_RangePool([r] if r[1] > r[0] else [], cum, checkout_fixup)
+        pools = [_RangePool([r] if r[1] > r[0] else [], cum)
                  for r in _partition(n_tasks, n_hosts)]
     else:
-        shared = _RangePool([(0, n_tasks)], cum, checkout_fixup)
+        shared = _RangePool([(0, n_tasks)], cum)
         pools = [shared] * n_hosts
 
     keys = spec.host_keys
@@ -1479,8 +1447,7 @@ def run_fleet(
     if core == "heap":
         events = _drain_heap(rules, start_absent, churn)
     else:
-        events = _drain_batched(rules, spec, start_absent, churn,
-                                bucket_width, event_order)
+        events = _drain_batched(rules, spec, start_absent, churn, bucket_width)
 
     gather = lambda name, dtype: np.array([getattr(h, name) for h in hosts],
                                           dtype=dtype)

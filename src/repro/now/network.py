@@ -55,8 +55,10 @@ class Network:
     def __post_init__(self) -> None:
         if not self.workstations:
             raise SimulationError("a network needs at least one workstation")
-        if self.c < 0:
-            raise SimulationError(f"overhead c must be nonnegative, got {self.c}")
+        if not 0 <= self.c < math.inf:
+            raise SimulationError(
+                f"overhead c must be nonnegative and finite, got {self.c}"
+            )
         ids = [w.ws_id for w in self.workstations]
         if len(set(ids)) != len(ids):
             raise SimulationError(f"workstation ids must be unique, got {ids}")

@@ -38,12 +38,9 @@ __all__ = [
     "ENGINES",
 ]
 
-#: The interchangeable batch-simulation engines, in preference order.
-#: ``"jit"`` is the vectorized engine with its search+gather pass compiled by
-#: :mod:`repro.jitkernels`; it degrades transparently to ``"vectorized"``
-#: when numba is unavailable, and all three are bit-identical under the
-#: shared RNG contract.
-ENGINES = ("vectorized", "jit", "scalar")
+#: The interchangeable batch-simulation engines, in preference order; both
+#: are bit-identical under the shared RNG contract.
+ENGINES = ("vectorized", "scalar")
 
 
 def completed_periods(schedule: Schedule, reclaim_times: ArrayLike) -> np.ndarray:
@@ -109,10 +106,8 @@ def simulate_episodes(
     Parameters
     ----------
     engine:
-        ``"vectorized"`` (default, O(periods) NumPy steps), ``"jit"`` (the
-        vectorized engine with a compiled search+gather pass, falling back
-        to NumPy when numba is unavailable), or ``"scalar"`` (the
-        per-episode reference loop; orders of magnitude slower).
+        ``"vectorized"`` (default, O(periods) NumPy steps) or ``"scalar"``
+        (the per-episode reference loop; orders of magnitude slower).
     """
     if n < 1:
         raise ValueError(f"need at least one episode, got n={n}")
@@ -120,10 +115,6 @@ def simulate_episodes(
         from .vectorized import simulate_episodes_vectorized
 
         return simulate_episodes_vectorized(schedule, p, c, n, rng)
-    if engine == "jit":
-        from .vectorized import simulate_episodes_jit
-
-        return simulate_episodes_jit(schedule, p, c, n, rng)
     if engine == "scalar":
         from .scalar import simulate_episodes_scalar
 

@@ -5,9 +5,7 @@ Validates the analytic eq. (2.1) — experiment EV-MC — and evaluates policies
 
 Both estimators accept an ``engine`` argument selecting the batch simulation
 backend: ``"vectorized"`` (NumPy batch engine, the fast default for
-schedules), ``"jit"`` (the vectorized engine with its search+gather pass
-compiled by :mod:`repro.jitkernels`, degrading to NumPy without numba), or
-``"scalar"`` (the per-episode reference loop).  Under the
+schedules) or ``"scalar"`` (the per-episode reference loop).  Under the
 shared seed contract — one ``p.sample_reclaim_times(rng, batch)`` call per
 batch, episodes in draw order — the engines produce *identical* episode
 outcomes for an identical generator state, so switching engines never
@@ -130,9 +128,7 @@ def estimate_policy_work(
     ``"vectorized"`` engine unrolls the policy *once* (out to the latest
     sampled reclaim time) and scores all episodes in NumPy — pick it for
     large ``n`` with elapsed-deterministic policies; it matches the scalar
-    engine bit-for-bit for such policies.  ``"jit"`` is the vectorized
-    engine with a compiled search+gather pass (NumPy fallback without
-    numba), with the same determinism requirement.
+    engine bit-for-bit for such policies.
 
     RNG contract: one ``p.sample_reclaim_times(rng, n)`` call, episodes in
     draw order — identical for every engine.
@@ -143,8 +139,6 @@ def estimate_policy_work(
         from .scalar import simulate_policy_episodes_scalar as impl
     elif engine == "vectorized":
         from .vectorized import simulate_policy_episodes_vectorized as impl
-    elif engine == "jit":
-        from .vectorized import simulate_policy_episodes_jit as impl
     else:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     batch = impl(policy, p, c, n, rng, max_periods=max_periods)

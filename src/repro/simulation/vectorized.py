@@ -43,9 +43,7 @@ from .episode import EpisodeBatch
 
 __all__ = [
     "simulate_episodes_vectorized",
-    "simulate_episodes_jit",
     "simulate_policy_episodes_vectorized",
-    "simulate_policy_episodes_jit",
     "unroll_policy",
 ]
 
@@ -77,57 +75,6 @@ def simulate_episodes_vectorized(
     k = np.searchsorted(schedule.boundaries, reclaim, side="left")
     cumulative = np.concatenate(([0.0], np.cumsum(schedule.work_per_period(c))))
     return EpisodeBatch(reclaim_times=reclaim, work=cumulative[k], periods_completed=k)
-
-
-def _gather_jit(
-    boundaries: FloatArray, cumulative: FloatArray, reclaim: FloatArray
-) -> Optional[EpisodeBatch]:
-    """Run the compiled search+gather pass, or ``None`` when numba is unusable.
-
-    The kernel's binary search replicates ``searchsorted(..., side='left')``
-    comparison for comparison, so the outcome is bit-identical to the NumPy
-    pass — engine choice never changes an estimate, only its wall clock.
-    """
-    from .. import jitkernels
-
-    if not jitkernels.available():
-        return None
-    work, k = jitkernels.kernels().episodes_gather(
-        np.ascontiguousarray(boundaries, dtype=np.float64),
-        np.ascontiguousarray(cumulative, dtype=np.float64),
-        np.ascontiguousarray(reclaim, dtype=np.float64),
-    )
-    return EpisodeBatch(reclaim_times=reclaim, work=work, periods_completed=k)
-
-
-def simulate_episodes_jit(
-    schedule: Schedule,
-    p: LifeFunction,
-    c: float,
-    n: int,
-    rng: Optional[np.random.Generator] = None,
-    reclaim_times: Optional[FloatArray] = None,
-) -> EpisodeBatch:
-    """:func:`simulate_episodes_vectorized` with the compiled inner pass.
-
-    Same RNG contract (one ``p.sample_reclaim_times`` call when sampling) and
-    bit-identical outcomes; falls back to the NumPy pass transparently when
-    the :mod:`repro.jitkernels` probe fails.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one episode, got n={n}")
-    if reclaim_times is None:
-        if rng is None:
-            raise ValueError("provide either rng or reclaim_times")
-        reclaim_times = p.sample_reclaim_times(rng, n)
-    reclaim = np.asarray(reclaim_times, dtype=float)
-    if reclaim.size != n:
-        raise ValueError(f"reclaim_times has {reclaim.size} entries, expected {n}")
-    cumulative = np.concatenate(([0.0], np.cumsum(schedule.work_per_period(c))))
-    batch = _gather_jit(schedule.boundaries, cumulative, reclaim)
-    if batch is not None:
-        return batch
-    return simulate_episodes_vectorized(schedule, p, c, n, reclaim_times=reclaim)
 
 
 def unroll_policy(
@@ -204,46 +151,4 @@ def simulate_policy_episodes_vectorized(
     boundaries = np.cumsum(periods)
     k = np.searchsorted(boundaries, reclaim, side="left")
     cumulative = np.concatenate(([0.0], np.cumsum(np.maximum(0.0, periods - c))))
-    return EpisodeBatch(reclaim_times=reclaim, work=cumulative[k], periods_completed=k)
-
-
-def simulate_policy_episodes_jit(
-    policy: Callable[[float], Optional[float]],
-    p: LifeFunction,
-    c: float,
-    n: int,
-    rng: Optional[np.random.Generator] = None,
-    max_periods: int = 100_000,
-    reclaim_times: Optional[FloatArray] = None,
-) -> EpisodeBatch:
-    """:func:`simulate_policy_episodes_vectorized` with the compiled gather.
-
-    The policy unrolling stays in Python (it calls back into user code); only
-    the per-episode search+gather runs compiled.  Bit-identical to the NumPy
-    engine, with the same transparent fallback as
-    :func:`simulate_episodes_jit`.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one episode, got n={n}")
-    if reclaim_times is None:
-        if rng is None:
-            raise ValueError("provide either rng or reclaim_times")
-        reclaim_times = p.sample_reclaim_times(rng, n)
-    reclaim = np.asarray(reclaim_times, dtype=float)
-    if reclaim.size != n:
-        raise ValueError(f"reclaim_times has {reclaim.size} entries, expected {n}")
-
-    periods = unroll_policy(policy, float(reclaim.max()), max_periods=max_periods)
-    if periods.size == 0:
-        return EpisodeBatch(
-            reclaim_times=reclaim,
-            work=np.zeros(n),
-            periods_completed=np.zeros(n, dtype=np.intp),
-        )
-    boundaries = np.cumsum(periods)
-    cumulative = np.concatenate(([0.0], np.cumsum(np.maximum(0.0, periods - c))))
-    batch = _gather_jit(boundaries, cumulative, reclaim)
-    if batch is not None:
-        return batch
-    k = np.searchsorted(boundaries, reclaim, side="left")
     return EpisodeBatch(reclaim_times=reclaim, work=cumulative[k], periods_completed=k)

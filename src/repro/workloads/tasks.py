@@ -14,6 +14,7 @@ maintained incrementally rather than recomputed.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -23,6 +24,12 @@ import numpy as np
 from ..exceptions import WorkloadError
 
 __all__ = ["Task", "TaskPool"]
+
+
+def _bad_duration(task_id: int, duration: float) -> WorkloadError:
+    """The error for a duration that is not positive and finite (NaN too)."""
+    kind = "non-positive" if duration <= 0 else "non-finite"
+    return WorkloadError(f"task {task_id} has {kind} duration {duration}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +44,8 @@ class Task:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise WorkloadError(f"task {self.task_id} has non-positive duration {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise _bad_duration(self.task_id, self.duration)
 
 
 class TaskPool:
@@ -69,12 +76,10 @@ class TaskPool:
             raise WorkloadError(
                 f"durations must be a vector, got shape {values.shape}"
             )
-        bad = np.flatnonzero(values <= 0)
+        bad = np.flatnonzero(~((values > 0) & (values < np.inf)))
         if bad.size:
             i = int(bad[0])
-            raise WorkloadError(
-                f"task {i} has non-positive duration {float(values[i])}"
-            )
+            raise _bad_duration(i, float(values[i]))
         floats = values.tolist()
         new = object.__new__
         tasks = [new(Task) for _ in floats]

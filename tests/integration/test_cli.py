@@ -120,6 +120,20 @@ class TestParsing:
             main(["t0opt", "--family", "uniform", "--lifespan", "100",
                   "--c", "2", "--grid", "1"])
 
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--family", "uniform", "--lifespan", "100", "--c", "2"],
+        ["t0opt", "--family", "uniform", "--lifespan", "100", "--c", "2"],
+        ["servebench", "--quick"],
+        ["fleet", "--quick"],
+    ], ids=["mc", "t0opt", "servebench", "fleet"])
+    def test_jit_engine_rejected(self, capsys, argv):
+        """``--engine jit`` is an argparse error: not a choice for ``mc`` and
+        ``t0opt``, not a flag at all for ``servebench`` and ``fleet``."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--engine", "jit"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
 
 class TestPlanCacheCommand:
     def test_warm_query_stats_clear_cycle(self, tmp_path, capsys):

@@ -71,6 +71,14 @@ class TestConservation:
         with pytest.raises(SimulationError):
             run_farm(net, TaskPool(), lambda ws: FixedChunkPolicy(2.0), 0.0, rng)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, rng, horizon):
+        net = _network(1, UniformRisk(10.0))
+        pool = TaskPool.from_durations(uniform_tasks(10, 1.0))
+        with pytest.raises(SimulationError,
+                           match=f"horizon must be positive and finite, got {horizon}"):
+            run_farm(net, pool, lambda ws: FixedChunkPolicy(2.0), horizon, rng)
+
 
 class TestPolicies:
     def test_omniscient_never_loses_work(self, rng):
@@ -148,6 +156,13 @@ class TestNetworkValidation:
         own = OwnerProcess.from_life_function(UniformRisk(10.0), 5.0)
         with pytest.raises(SimulationError):
             Network([Workstation(0, own)], c=-1.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_overhead_rejected(self, c):
+        own = OwnerProcess.from_life_function(UniformRisk(10.0), 5.0)
+        with pytest.raises(SimulationError,
+                           match=f"overhead c must be nonnegative and finite, got {c}"):
+            Network([Workstation(0, own)], c=c)
 
     def test_bad_speed_rejected(self):
         own = OwnerProcess.from_life_function(UniformRisk(10.0), 5.0)

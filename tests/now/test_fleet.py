@@ -514,6 +514,15 @@ class TestValidation:
                            match=r"steal_fraction must lie in \(0, 1\]"):
             run_fleet(spec, np.ones(4), 10.0, steal_fraction=fraction)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_bad_task_duration(self, bad):
+        spec = FleetSpec.homogeneous(4)
+        durations = np.full(200, 0.25)
+        durations[137] = bad
+        with pytest.raises(SimulationError,
+                           match=f"positive and finite, got {bad} at index 137"):
+            run_fleet(spec, durations, 100.0, policy="stealing")
+
     def test_bad_core(self):
         spec = FleetSpec.homogeneous(2)
         with pytest.raises(SimulationError, match="unknown fleet core"):

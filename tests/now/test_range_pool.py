@@ -11,8 +11,8 @@ so its contract carries the whole bit-parity story:
   task, including on adversarial dyadic workloads and budgets sitting
   exactly on (or within 1e-12 of) prefix-sum boundaries;
 * **cut-seed independence** — the mean-duration hint and the binary
-  search land on the same unique cut, and the JIT fix-up entry point is
-  interchangeable with the inline loops.
+  search land on the same unique cut, the one a reference fix-up walk
+  reaches from any starting index.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from hypothesis import strategies as st
 from repro.now.fleet import _RangePool
 
 
-def _pool(durations, ranges=None, fixup=None):
+def _pool(durations, ranges=None):
     cum = np.concatenate(([0.0], np.cumsum(durations)))
     if ranges is None:
         ranges = [(0, len(durations))]
-    return _RangePool(ranges, cum, fixup=fixup)
+    return _RangePool(ranges, cum)
 
 
 def _indices(pool):
@@ -53,7 +53,11 @@ def _scalar_checkout(durations, order, budget):
 
 
 def _reference_fixup(cum, base, used, limit, lo, hi, j):
-    """Pure-Python mirror of ``jitkernels.kernels.fleet_checkout_fixup``."""
+    """``_RangePool.checkout``'s clamp + exact fix-up loops, standing alone.
+
+    Walks from any starting index ``j`` to the unique cut in ``[lo, hi]``:
+    the reference the pool's seeded cuts are checked against.
+    """
     if j < lo:
         j = lo
     elif j > hi:
@@ -121,18 +125,20 @@ def test_checkout_matches_scalar_admission(case):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=pool_budgets(st.one_of(dyadic_durations, messy_durations)),
        inv_mean_scale=st.floats(min_value=0.05, max_value=20.0),
-       use_fixup=st.booleans())
-def test_cut_is_seed_independent(case, inv_mean_scale, use_fixup):
-    """Binary search, any mean-duration hint, and the fix-up entry point
-    all land on the same unique cut."""
+       seed_frac=st.floats(min_value=-0.25, max_value=1.25))
+def test_cut_is_seed_independent(case, inv_mean_scale, seed_frac):
+    """Binary search, any mean-duration hint, and the reference fix-up from
+    any starting index all land on the same unique cut."""
     durations, budget = case
     mean = float(np.mean(durations))
-    fixup = _reference_fixup if use_fixup else None
-    base_pool = _pool(durations)
-    a = base_pool.checkout(budget)
-    b = _pool(durations, fixup=fixup).checkout(
-        budget, inv_mean=inv_mean_scale / mean)
+    a = _pool(durations).checkout(budget)
+    b = _pool(durations).checkout(budget, inv_mean=inv_mean_scale / mean)
     assert a == b
+    n = len(durations)
+    cum = np.concatenate(([0.0], np.cumsum(durations)))
+    cut = _reference_fixup(cum, 0.0, 0.0, budget + 1e-12, 0, n,
+                           int(seed_frac * n))
+    assert cut == a[2]
 
 
 @st.composite

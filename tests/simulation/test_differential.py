@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.schedule import Schedule
-from repro.simulation.scalar import simulate_episodes_scalar
+from repro.simulation.scalar import (
+    simulate_episodes_scalar,
+    simulate_policy_episodes_scalar,
+)
 from repro.simulation.testing import (
     DeterministicLife,
     assert_exact_parity,
@@ -24,6 +27,7 @@ from repro.simulation.testing import (
 )
 from repro.simulation.vectorized import (
     simulate_episodes_vectorized,
+    simulate_policy_episodes_vectorized,
     unroll_policy,
 )
 
@@ -67,6 +71,20 @@ class TestExactParity:
             doubling, p, c, n=2_000, seed=7, label=f"{name}-doubling"
         )
         assert_exact_parity(report)
+
+    @pytest.mark.parametrize(
+        "simulate",
+        [simulate_policy_episodes_vectorized, simulate_policy_episodes_scalar],
+        ids=["vectorized", "scalar"],
+    )
+    def test_policy_that_declines_immediately(self, simulate):
+        """A policy that returns ``None`` at elapsed 0 banks nothing."""
+        batch = simulate(lambda elapsed: None, FAMILIES["uniform"], 1.0, 50,
+                         rng=np.random.default_rng(1))
+        assert batch.n == 50
+        np.testing.assert_array_equal(batch.work, np.zeros(50))
+        np.testing.assert_array_equal(batch.periods_completed,
+                                      np.zeros(50, dtype=np.intp))
 
     def test_single_period_schedule(self, family):
         name, p = family

@@ -1,144 +1,24 @@
-"""The ``engine="jit"`` Monte-Carlo path: dispatch, fallback, and bit-parity.
+"""The Monte-Carlo estimators no longer have a ``jit`` episode engine.
 
-The jit episode engine's contract is stronger than "statistically close": the
-compiled search+gather replicates ``searchsorted(..., side='left')`` comparison
-for comparison, so for the *same reclaim draws* it must produce bit-identical
-``work``/``periods_completed`` to the vectorized engine — with or without
-numba (without, it falls back to the vectorized path outright).  Every test
-here therefore asserts exact equality and runs in both configurations; only
-the kernel-level check is numba-gated (in ``tests/core/test_jitkernels.py``).
+``"vectorized"`` and ``"scalar"`` are the registered engines; ``"jit"`` is
+refused like any other unknown name.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import repro
-from repro import jitkernels
 from repro.simulation import estimate_expected_work, estimate_policy_work
 from repro.simulation.episode import ENGINES
-from repro.simulation.vectorized import (
-    simulate_episodes_jit,
-    simulate_episodes_vectorized,
-    simulate_policy_episodes_jit,
-    simulate_policy_episodes_vectorized,
-)
-
-N = 5_000
-
-
-def _families():
-    return [
-        (repro.UniformRisk(200.0), 2.0),
-        (repro.PolynomialRisk(3, 300.0), 2.0),
-        (repro.GeometricDecreasingLifespan(1.2), 0.5),
-        (repro.GeometricIncreasingRisk(30.0), 1.0),
-    ]
-
-
-def test_jit_is_a_registered_engine():
-    assert "jit" in ENGINES
-    assert ENGINES.index("vectorized") < ENGINES.index("jit")  # default first
-
-
-@pytest.mark.parametrize("idx", range(4))
-def test_episode_batch_matches_vectorized(idx):
-    p, c = _families()[idx]
-    schedule = repro.guideline_schedule(p, c).schedule
-    a = simulate_episodes_vectorized(p=p, c=c, schedule=schedule, n=N,
-                                     rng=np.random.default_rng(7))
-    b = simulate_episodes_jit(p=p, c=c, schedule=schedule, n=N,
-                              rng=np.random.default_rng(7))
-    np.testing.assert_array_equal(a.reclaim_times, b.reclaim_times)
-    np.testing.assert_array_equal(a.work, b.work)
-    np.testing.assert_array_equal(a.periods_completed, b.periods_completed)
-
-
-def test_shared_reclaim_times_skip_sampling():
-    p, c = repro.UniformRisk(150.0), 1.5
-    schedule = repro.guideline_schedule(p, c).schedule
-    reclaim = np.random.default_rng(0).uniform(0.0, 150.0, 300)
-    a = simulate_episodes_vectorized(schedule, p, c, reclaim.size,
-                                     reclaim_times=reclaim)
-    b = simulate_episodes_jit(schedule, p, c, reclaim.size,
-                              reclaim_times=reclaim)
-    np.testing.assert_array_equal(a.work, b.work)
-    np.testing.assert_array_equal(a.periods_completed, b.periods_completed)
-
-
-def test_estimate_expected_work_jit_engine():
-    p, c = repro.UniformRisk(200.0), 2.0
-    schedule = repro.guideline_schedule(p, c).schedule
-    a = estimate_expected_work(schedule, p, c, n=N,
-                               rng=np.random.default_rng(3), engine="vectorized")
-    b = estimate_expected_work(schedule, p, c, n=N,
-                               rng=np.random.default_rng(3), engine="jit")
-    assert (a.mean, a.stderr, a.n) == (b.mean, b.stderr, b.n)
-
-
-def test_policy_episodes_jit_matches_vectorized():
-    p, c = repro.GeometricIncreasingRisk(40.0), 1.0
-
-    def policy(elapsed):
-        return 8.0 - 0.5 * elapsed  # declines to None via non-positive
-
-    a = simulate_policy_episodes_vectorized(policy, p, c, N,
-                                            rng=np.random.default_rng(5))
-    b = simulate_policy_episodes_jit(policy, p, c, N,
-                                     rng=np.random.default_rng(5))
-    np.testing.assert_array_equal(a.reclaim_times, b.reclaim_times)
-    np.testing.assert_array_equal(a.work, b.work)
-    np.testing.assert_array_equal(a.periods_completed, b.periods_completed)
-
-
-def test_policy_that_declines_immediately():
-    p, c = repro.UniformRisk(100.0), 1.0
-    b = simulate_policy_episodes_jit(lambda elapsed: None, p, c, 50,
-                                     rng=np.random.default_rng(1))
-    assert b.n == 50
-    np.testing.assert_array_equal(b.work, np.zeros(50))
-    np.testing.assert_array_equal(b.periods_completed, np.zeros(50, dtype=np.intp))
-
-
-def test_estimate_policy_work_jit_engine():
-    p, c = repro.UniformRisk(120.0), 1.0
-    sched = repro.guideline_schedule(p, c).schedule
-    periods = sched.periods
-    bounds = np.cumsum(periods) + c * np.arange(1, periods.size + 1)
-
-    def policy(elapsed):
-        k = np.searchsorted(bounds, elapsed, side="right")
-        return float(periods[k]) if k < periods.size else None
-
-    a = estimate_policy_work(policy, p, c, n=2_000,
-                             rng=np.random.default_rng(9), engine="vectorized")
-    b = estimate_policy_work(policy, p, c, n=2_000,
-                             rng=np.random.default_rng(9), engine="jit")
-    assert (a.mean, a.stderr, a.n) == (b.mean, b.stderr, b.n)
 
 
 def test_unknown_engine_rejected():
     p, c = repro.UniformRisk(100.0), 1.0
     schedule = repro.guideline_schedule(p, c).schedule
-    with pytest.raises(ValueError, match="engine"):
-        estimate_expected_work(schedule, p, c, n=10, engine="cuda")
-    with pytest.raises(ValueError, match="engine"):
-        estimate_policy_work(lambda e: None, p, c, n=10, engine="cuda")
-
-
-def test_jit_engine_works_when_probe_forced_off(monkeypatch):
-    # The engine name stays usable even when the kernels are unavailable:
-    # callers selecting "jit" must never have to probe first.
-    saved = jitkernels._probe_result
-    monkeypatch.setattr(jitkernels, "_probe_result", (False, "forced off"))
-    try:
-        p, c = repro.PolynomialRisk(2, 180.0), 1.0
-        schedule = repro.guideline_schedule(p, c).schedule
-        a = estimate_expected_work(schedule, p, c, n=1_000,
-                                   rng=np.random.default_rng(2), engine="vectorized")
-        b = estimate_expected_work(schedule, p, c, n=1_000,
-                                   rng=np.random.default_rng(2), engine="jit")
-        assert (a.mean, a.stderr) == (b.mean, b.stderr)
-    finally:
-        jitkernels._probe_result = saved
+    assert "jit" not in ENGINES
+    for engine in ("cuda", "jit"):
+        with pytest.raises(ValueError, match="engine"):
+            estimate_expected_work(schedule, p, c, n=10, engine=engine)
+        with pytest.raises(ValueError, match="engine"):
+            estimate_policy_work(lambda e: None, p, c, n=10, engine=engine)

@@ -22,6 +22,10 @@ class TestTask:
             Task(0, 0.0)
         with pytest.raises(WorkloadError):
             Task(1, -1.0)
+        for bad in ("nan", "inf"):
+            with pytest.raises(WorkloadError,
+                               match=f"^task 3 has non-finite duration {bad}$"):
+                Task(3, float(bad))
 
 
 class TestTaskPool:
@@ -47,6 +51,9 @@ class TestTaskPool:
         ([1.0, 0.0, -2.0], "task 1 has non-positive duration 0.0"),
         (np.array([0.5, 0.25, -3.0, 0.0]), "task 2 has non-positive duration -3.0"),
         ([-0.0], "task 0 has non-positive duration -0.0"),
+        ([1.0, float("nan"), 2.0], "task 1 has non-finite duration nan"),
+        (np.array([0.5, np.inf]), "task 1 has non-finite duration inf"),
+        ([np.nan, -1.0], "task 0 has non-finite duration nan"),
     ])
     def test_from_durations_names_first_bad_task(self, durations, bad):
         with pytest.raises(WorkloadError, match=f"^{bad}$"):
