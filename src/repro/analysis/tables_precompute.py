@@ -451,11 +451,12 @@ def load_table(
 
 
 #: Batched polish resolution: K-point bracket scans, refined R times.  The
-#: final bracket step is ``width / (K-1)^R / 2^{R-1}`` ≈ ``width / 65536`` —
-#: with E locally quadratic in ``t0`` that keeps the served expected work
-#: within ~1e-9 relative of the bracket optimum (same budget the old
-#: per-query Brent polish targeted, but in 5 vector passes instead of ~30
-#: sequential recurrence walks per query).
+#: final bracket step is ``width / (K-1)^R / 2^{R-1}`` ≈ ``width / 65536``.
+#: Where E is locally quadratic in ``t0`` that keeps the served expected
+#: work within ~1e-9 relative of the bracket optimum.  Where the optimum sits
+#: on a cusp of E(t0) (the period count jumps there), E falls linearly on
+#: both sides and the miss is first order in that step: geomdec's held-out
+#: worst case is 2.57e-6 relative.
 _POLISH_POINTS = 17
 _POLISH_ROUNDS = 5
 
@@ -723,20 +724,17 @@ class TableServer:
         k_pts = _POLISH_POINTS
         cur_lo, cur_hi = lo.copy(), hi.copy()
         rows = np.arange(n)
+        # Per-round invariants: the lane vectors and the productive floor.
+        offsets = np.arange(k_pts)[None, :]
+        floor = np.nextafter(lcs, np.inf)[:, None]
+        flat_cs, flat_vs = np.repeat(lcs, k_pts + 1), np.repeat(lvs, k_pts + 1)
         for _ in range(_POLISH_ROUNDS):
             step = (cur_hi - cur_lo) / (k_pts - 1)
-            cand = cur_lo[:, None] + np.arange(k_pts)[None, :] * step[:, None]
+            cand = cur_lo[:, None] + offsets * step[:, None]
             cand[:, -1] = cur_hi  # endpoint exactly, no accumulation drift
             cand = np.concatenate([best_t[:, None], cand], axis=1)
-            cand = np.clip(cand, np.nextafter(lcs, np.inf)[:, None], None)
-            flat = cand.ravel()
-            batch = generate_schedules_hetero(
-                family,
-                np.repeat(lcs, k_pts + 1),
-                np.repeat(lvs, k_pts + 1),
-                flat,
-                d=d,
-            )
+            cand = np.clip(cand, floor, None)
+            batch = generate_schedules_hetero(family, flat_cs, flat_vs, cand.ravel(), d=d)
             scores = batch.expected_work.reshape(n, k_pts + 1)
             pick = np.argmax(scores, axis=1)
             best_t = cand[rows, pick]

@@ -143,12 +143,13 @@ def generate_schedules_batch(
     Raises
     ------
     InvalidScheduleError
-        If ``c < 0``, ``t0s`` is empty or not one-dimensional, or any lane
+        If ``c`` is negative or not finite, ``t0s`` is empty or not
+        one-dimensional or holds a non-finite value, or any lane
         has ``t0 <= c`` (every initial period must be productive, exactly as
         the scalar engine requires).
     """
-    if c < 0:
-        raise InvalidScheduleError(f"overhead c must be nonnegative, got {c}")
+    if not 0 <= c < np.inf:
+        raise InvalidScheduleError(f"overhead c must be nonnegative and finite, got {c}")
     t0_arr = np.asarray(t0s, dtype=float)
     if t0_arr.ndim != 1:
         raise InvalidScheduleError(f"t0s must be one-dimensional, got shape {t0_arr.shape}")

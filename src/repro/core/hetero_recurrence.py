@@ -121,10 +121,20 @@ def run_lanes(
 ) -> tuple[FloatArray, np.ndarray, np.ndarray, FloatArray]:
     """Iterate system (3.6) over validated lanes with per-lane ``(c, θ, L, t0)``.
 
-    ``survival`` and ``step`` are the kernel (see the module docstring).
-    Returns ``(periods, num_periods, termination_codes, expected_work)``:
-    NaN-padded periods of shape ``(n_lanes, max_m)`` and ``E(S; p)``
-    accumulated left to right, as the scalar engine does.
+    ``survival`` and ``step`` are the kernel (see the module docstring); it
+    must return fresh arrays, since the loop keeps each step's periods by
+    reference.  Returns ``(periods, num_periods, termination_codes,
+    expected_work)``: NaN-padded periods of shape ``(n_lanes, max_m)`` and
+    ``E(S; p)`` accumulated left to right, as the scalar engine does.
+
+    The live lanes are kept compacted: a lane that ends is dropped from
+    every state vector, so a step costs in proportion to the lanes still
+    running.  Compaction runs only on steps where some lane ends.  Nothing
+    is scattered back to full width inside the loop: ended lanes' ``E`` and
+    the periods and overheads that decide their codes are collected as they
+    end, and written once after it, as is the period matrix, from the
+    per-step ``(lanes, periods)`` columns.  The tail rule is tested only on
+    steps where some ``p(T_k) < sqrt(tail_tol)``.
     """
     n = t0s.size
     finite_life = bool(np.any(np.isfinite(lifespans)))
@@ -144,89 +154,92 @@ def run_lanes(
     sqrt_tail = math.sqrt(tail_tol)
 
     # Compacted live-lane state: ``idx`` maps the compact rows back to lanes;
-    # everything else (previous period, boundary T_{k-1}, per-lane c/θ/L,
-    # p(T_{k-1}), banked E) lives in dense arrays the vector ops run over
-    # directly.  Dead lanes are dropped by boolean compaction instead of
-    # masked out, so per-step cost tracks the number of *surviving* lanes.
+    # everything else (previous period, boundary T_{k-1}, per-lane c/θ/L and
+    # lifespan threshold, p(T_{k-1}), banked E) lives in dense arrays the
+    # vector ops run over directly.
     idx = np.nonzero(alive)[0]
-    tp = first[idx]
-    b = first[idx]
-    lc = cs[idx]
-    lv = params[idx]
-    ll = lifespans[idx]
+    tp = b = first[idx]
+    lc, lv, ll = cs[idx], params[idx], lifespans[idx]
+    with np.errstate(invalid="ignore"):  # L = inf gives NaN, which no T reaches
+        near_end = ll - 1e-15 * ll
     ph = survival(lv, b) if idx.size else np.empty(0)
-    e_full = np.zeros(n)
-    e_full[idx] = np.maximum(0.0, tp - lc) * ph
-    e = e_full[idx]
-
-    # NaN-padded output buffer, grown geometrically; column k holds period
-    # k+1 for the lanes that reached it.
-    cap = 32
-    periods_buf = np.full((n, cap), np.nan)
-    k = 0
+    e = np.maximum(0.0, tp - lc) * ph
+    # Per step, the surviving lanes and their new periods; per ending, the
+    # lanes with their E, and (step rules) the period and c that ended them.
+    emitted: list[tuple[np.ndarray, FloatArray]] = []
+    done: list[tuple[np.ndarray, FloatArray]] = []
+    cut: list[tuple[np.ndarray, FloatArray, FloatArray]] = []
 
     for _ in range(max_periods - 1):
         if idx.size == 0:
             break
         if finite_life:
-            hit = b >= ll - 1e-15 * ll
-            if np.any(hit):
+            hit = b >= near_end
+            if hit.any():
                 term[idx[hit]] = _CODE[Termination.LIFESPAN_EXHAUSTED]
-                keep = ~hit
-                idx, tp, b, lc, lv, ll, ph, e = (
-                    idx[keep], tp[keep], b[keep], lc[keep],
-                    lv[keep], ll[keep], ph[keep], e[keep],
+                done.append((idx[hit], e[hit]))
+                idx, tp, b, lc, lv, ll, near_end, ph, e = _keep(
+                    ~hit, idx, tp, b, lc, lv, ll, near_end, ph, e
                 )
                 if idx.size == 0:
                     break
 
         t_next = step(lc, lv, tp, b, ph)
-        nonpositive = np.isnan(t_next)
-        unproductive = ~nonpositive & (t_next <= lc)
+        b_next = b + t_next
+        # False on NaN (target non-positive) and on t_next <= c alike.
+        ok = t_next > lc
         if finite_life:
-            overshoot = ~nonpositive & ~unproductive & (b + t_next > ll)
-            surviving = ~(nonpositive | unproductive | overshoot)
-            term[idx[overshoot]] = _CODE[Termination.LIFESPAN_EXHAUSTED]
-        else:
-            surviving = ~(nonpositive | unproductive)
-        term[idx[nonpositive]] = _CODE[Termination.TARGET_NONPOSITIVE]
-        term[idx[unproductive]] = _CODE[Termination.UNPRODUCTIVE]
-        if not np.any(surviving):
-            break
-
-        sidx = idx[surviving]
-        tn = t_next[surviving]
-        if k == cap:
-            cap *= 2
-            grown = np.full((n, cap), np.nan)
-            grown[:, : periods_buf.shape[1]] = periods_buf
-            periods_buf = grown
-        periods_buf[sidx, k] = tn
-        k += 1
-
-        b = b[surviving] + tn
-        tp = tn
-        lc = lc[surviving]
-        lv = lv[surviving]
-        ll = ll[surviving]
-        ph = survival(lv, b)
-        contribution = (tn - lc) * ph
-        e = e[surviving] + contribution
-        e_full[sidx] = e
-        negligible = (contribution < tail_tol * np.maximum(1.0, e)) & (ph < sqrt_tail)
-        if np.any(negligible):
-            term[sidx[negligible]] = _CODE[Termination.TAIL_NEGLIGIBLE]
-            keep = ~negligible
-            idx, tp, b, lc, lv, ll, ph, e = (
-                sidx[keep], tp[keep], b[keep], lc[keep],
-                lv[keep], ll[keep], ph[keep], e[keep],
+            ok &= b_next <= ll
+        if not ok.all():
+            ends = ~ok
+            lanes = idx[ends]
+            done.append((lanes, e[ends]))
+            cut.append((lanes, t_next[ends], lc[ends]))
+            idx, t_next, b_next, lc, lv, ll, near_end, e = _keep(
+                ok, idx, t_next, b_next, lc, lv, ll, near_end, e
             )
-        else:
-            idx = sidx
+            if idx.size == 0:
+                break
 
-    periods = np.concatenate([first[:, None], periods_buf[:, :k]], axis=1)
+        emitted.append((idx, t_next))
+        tp, b = t_next, b_next
+        ph = survival(lv, b)
+        contribution = (t_next - lc) * ph
+        e = e + contribution
+        low = ph < sqrt_tail
+        if low.any():
+            negligible = (contribution < tail_tol * np.maximum(1.0, e)) & low
+            if negligible.any():
+                term[idx[negligible]] = _CODE[Termination.TAIL_NEGLIGIBLE]
+                done.append((idx[negligible], e[negligible]))
+                idx, tp, b, lc, lv, ll, near_end, ph, e = _keep(
+                    ~negligible, idx, tp, b, lc, lv, ll, near_end, ph, e
+                )
+
+    if cut:
+        # Codes in reverse priority order, each rule overriding the ones it
+        # outranks, so the scalar engine's first-matching rule is what stays.
+        lanes, t_end, c_end = (np.concatenate(a) for a in zip(*cut))
+        term[lanes] = _CODE[Termination.LIFESPAN_EXHAUSTED]
+        term[lanes[t_end <= c_end]] = _CODE[Termination.UNPRODUCTIVE]
+        term[lanes[np.isnan(t_end)]] = _CODE[Termination.TARGET_NONPOSITIVE]
+    e_full = np.zeros(n)
+    lanes, e_end = (np.concatenate(a) for a in zip(*done, (idx, e)))
+    e_full[lanes] = e_end
+
+    periods = np.full((n, 1 + len(emitted)), np.nan)
+    periods[:, 0] = first
+    if emitted:
+        rows, values = zip(*emitted)
+        cols = np.repeat(np.arange(1, 1 + len(emitted)), [r.size for r in rows])
+        periods[np.concatenate(rows), cols] = np.concatenate(values)
     num_periods = 1 + np.sum(~np.isnan(periods[:, 1:]), axis=1)
     return periods, num_periods, term, e_full + 0.0
+
+
+def _keep(mask: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The rows of each lane-state array where ``mask`` holds."""
+    return [a[mask] for a in arrays]
 
 
 # ----------------------------------------------------------------------
@@ -254,8 +267,10 @@ def generate_schedules_hetero(
     Raises
     ------
     InvalidScheduleError
-        On an unsupported family, mismatched lane vectors, any ``c < 0``, or
-        any non-finite / unproductive (``t0 <= c``) initial period.
+        On an unsupported family, mismatched lane vectors, any ``c`` that is
+        negative or not finite, any ``θ`` outside the family's domain (finite,
+        and ``L > 0`` or ``a > 1``), or any non-finite or unproductive
+        (``t0 <= c``) initial period.  The message names the first bad lane.
     """
     if family not in HETERO_FAMILIES:
         raise InvalidScheduleError(
@@ -272,21 +287,18 @@ def generate_schedules_hetero(
         )
     if t0_arr.size == 0:
         raise InvalidScheduleError("need at least one lane")
-    if np.any(cs < 0):
-        raise InvalidScheduleError("overheads c must be nonnegative")
-    if not np.all(np.isfinite(t0_arr)):
-        raise InvalidScheduleError("t0 candidates must be finite")
-    if np.any(t0_arr <= cs):
-        bad = int(np.argmax(t0_arr <= cs))
-        raise InvalidScheduleError(
-            f"initial period t0 = {t0_arr[bad]} must exceed the overhead "
-            f"c = {cs[bad]} (lane {bad})"
-        )
+    row = FAMILY_TABLE[family]
+    _require_lanes((cs >= 0.0) & (cs < np.inf), "overhead c", cs, "nonnegative and finite")
+    _require_lanes(
+        (params > row.param_floor) & (params < np.inf), f"{family} parameter θ",
+        params, f"finite and above {row.param_floor:g}",
+    )
+    _require_lanes(np.isfinite(t0_arr), "initial period t0", t0_arr, "finite")
+    _require_lanes(t0_arr > cs, "initial period t0", t0_arr, "above its overhead c")
     d = int(d) if family == "poly" else 1
 
-    row = FAMILY_TABLE[family]
     periods, num_periods, term, e_full = run_lanes(
-        lambda theta, t: np.clip(row.survival(d, theta, t), 0.0, 1.0),
+        lambda theta, t: row.survival(d, theta, t).clip(0.0, 1.0),
         lambda c, theta, t_prev, b_prev, _p_prev: row.step(d, c, theta, t_prev, b_prev),
         cs,
         params,
@@ -305,3 +317,10 @@ def generate_schedules_hetero(
         termination_codes=term,
         expected_work=e_full,
     )
+
+
+def _require_lanes(ok: np.ndarray, what: str, values: FloatArray, domain: str) -> None:
+    """Raise on the first lane where ``ok`` fails (NaN comparisons fail)."""
+    if not ok.all():
+        lane = int(np.argmin(ok))
+        raise InvalidScheduleError(f"{what} must be {domain}, got {values[lane]} at lane {lane}")

@@ -42,7 +42,9 @@ and ``t`` alike:
   eqs. (4.1), (4.6), (4.7) and the general ``p_{d,L}`` form (NaN where the
   schedule ends);
 * ``lifespan(θ)`` and ``mean_absence(d, θ)`` — ``L`` and ``E[R] = ∫ p``;
-* ``make(θ, d)`` — the :class:`LifeFunction` instance.
+* ``make(θ, d)`` — the :class:`LifeFunction` instance;
+* ``param_floor`` — ``θ``'s domain: finite and above it (the bound the
+  family class's constructor enforces).
 
 This is the one place these formulas are written for NumPy: the classes'
 ``_evaluate`` / ``inverse`` and ``ln_a`` read it (scalar ``θ``), the mixed-lane
@@ -176,8 +178,8 @@ class PolynomialRisk(LifeFunction):
         super().__init__()
         if d < 1 or int(d) != d:
             raise ValueError(f"degree d must be a positive integer, got {d}")
-        if lifespan <= 0:
-            raise ValueError(f"lifespan must be positive, got {lifespan}")
+        if not 0 < lifespan < math.inf:
+            raise ValueError(f"lifespan must be positive and finite, got {lifespan}")
         self.d = int(d)
         self._lifespan = float(lifespan)
 
@@ -243,8 +245,8 @@ class GeometricDecreasingLifespan(LifeFunction):
 
     def __init__(self, a: float) -> None:
         super().__init__()
-        if a <= 1:
-            raise ValueError(f"risk factor a must exceed 1, got {a}")
+        if not 1 < a < math.inf:
+            raise ValueError(f"risk factor a must be finite and exceed 1, got {a}")
         self.a = float(a)
         # The rate every geomdec kernel uses: np.log.  On SIMD NumPy builds
         # math.log differs from it in the last bit for ~0.25% of a.
@@ -295,8 +297,8 @@ class GeometricIncreasingRisk(LifeFunction):
 
     def __init__(self, lifespan: float) -> None:
         super().__init__()
-        if lifespan <= 0:
-            raise ValueError(f"lifespan must be positive, got {lifespan}")
+        if not 0 < lifespan < math.inf:
+            raise ValueError(f"lifespan must be positive and finite, got {lifespan}")
         self._lifespan = float(lifespan)
         self._denom = float(_geominc_denom(self._lifespan))
 
@@ -347,7 +349,7 @@ class WeibullLife(LifeFunction):
 
     def __init__(self, k: float, scale: float = 1.0) -> None:
         super().__init__()
-        if k <= 0 or scale <= 0:
+        if not (k > 0 and scale > 0):
             raise ValueError(f"k and scale must be positive, got k={k}, scale={scale}")
         self.k = float(k)
         self.scale = float(scale)
@@ -400,7 +402,7 @@ class ParetoLife(LifeFunction):
 
     def __init__(self, d: float) -> None:
         super().__init__()
-        if d <= 0:
+        if not d > 0:
             raise ValueError(f"exponent d must be positive, got {d}")
         self.d = float(d)
 
@@ -454,6 +456,8 @@ class FamilyKernels:
     lifespan: Callable[..., FloatArray]  # (θ)
     mean_absence: Callable[..., FloatArray]  # (d, θ)
     make: Callable[[float, int], LifeFunction]  # (θ, d)
+    #: ``θ`` must be finite and exceed this: ``L > 0``, or ``a > 1``.
+    param_floor: float = 0.0
 
 
 _POLY = dict(survival=_poly_survival, inverse=_poly_inverse, step=_poly_step,
@@ -465,7 +469,7 @@ FAMILY_TABLE: dict[str, FamilyKernels] = {
     "poly": FamilyKernels(**_POLY, make=lambda L, d: PolynomialRisk(d, L)),
     "geomdec": FamilyKernels(
         _geomdec_survival, _geomdec_inverse, _geomdec_step, _geomdec_lifespan,
-        _geomdec_mean_absence, lambda a, d: GeometricDecreasingLifespan(a),
+        _geomdec_mean_absence, lambda a, d: GeometricDecreasingLifespan(a), param_floor=1.0,
     ),
     "geominc": FamilyKernels(
         _geominc_survival, _geominc_inverse, _geominc_step, _finite_lifespan,

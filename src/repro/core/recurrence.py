@@ -210,12 +210,15 @@ def generate_schedule(
     Raises
     ------
     InvalidScheduleError
-        If ``t0 <= c`` (the initial period must be productive) or ``c < 0``.
+        If ``t0 <= c`` (the initial period must be productive), ``c < 0``, or
+        either is not finite.
     """
-    if c < 0:
-        raise InvalidScheduleError(f"overhead c must be nonnegative, got {c}")
-    if t0 <= c:
-        raise InvalidScheduleError(f"initial period t0 = {t0} must exceed the overhead c = {c}")
+    if not 0 <= c < math.inf:
+        raise InvalidScheduleError(f"overhead c must be nonnegative and finite, got {c}")
+    if not c < t0 < math.inf:
+        raise InvalidScheduleError(
+            f"initial period t0 = {t0} must be finite and exceed the overhead c = {c}"
+        )
     if math.isfinite(p.lifespan) and t0 >= p.lifespan:
         # A single period spanning the whole lifespan earns p(L) = 0; clamp
         # rather than reject so t0 sweeps remain total.

@@ -38,6 +38,10 @@ class TestValidation:
         with pytest.raises(InvalidScheduleError):
             generate_schedules_batch(UniformRisk(100.0), -1.0, np.array([10.0]))
 
+    def test_nan_overhead(self):
+        with pytest.raises(InvalidScheduleError, match="nonnegative and finite, got nan"):
+            generate_schedules_batch(UniformRisk(100.0), np.nan, np.array([10.0]))
+
     def test_non_1d_grid(self):
         with pytest.raises(InvalidScheduleError):
             generate_schedules_batch(UniformRisk(100.0), 1.0, np.ones((2, 2)))

@@ -52,6 +52,11 @@ class TestUniformRisk:
         with pytest.raises(ValueError):
             UniformRisk(-5.0)
 
+    @pytest.mark.parametrize("lifespan", [math.nan, math.inf])
+    def test_non_finite_lifespan(self, lifespan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            UniformRisk(lifespan)
+
 
 class TestPolynomialRisk:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -127,6 +132,11 @@ class TestGeometricDecreasing:
     def test_a_must_exceed_one(self):
         with pytest.raises(ValueError):
             GeometricDecreasingLifespan(1.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_a(self, a):
+        with pytest.raises(ValueError, match="finite and exceed 1"):
+            GeometricDecreasingLifespan(a)
 
 
 class TestGeometricIncreasing:

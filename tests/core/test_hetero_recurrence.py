@@ -22,6 +22,7 @@ from repro.core.life_functions.families import make
 from repro.core.recurrence import generate_schedule
 from repro.core.t0_bounds import family_bracket_batch
 from repro.core.testing import DEFAULT_ATOL, DEFAULT_RTOL, default_t0_grid
+from repro.exceptions import InvalidScheduleError
 
 FAMILIES = ("uniform", "poly", "geomdec", "geominc")
 D = 3  # polynomial degree for "poly"
@@ -99,3 +100,26 @@ def test_batch_sweep_equals_hetero_constant_lanes_at_ln_a_split():
     np.testing.assert_array_equal(batch.periods, het.periods)
     np.testing.assert_array_equal(batch.expected_work,
                                   batch_expected_work(het.periods, p, c))
+
+
+@pytest.mark.parametrize(
+    "family,lane_vector,bad",
+    [
+        ("uniform", 0, np.nan),  # c
+        ("geomdec", 0, np.inf),
+        ("uniform", 1, np.nan),  # θ: outside each family's domain
+        ("uniform", 1, np.inf),
+        ("poly", 1, -5.0),
+        ("geomdec", 1, 1.0),
+        ("geomdec", 1, np.inf),
+        ("geominc", 1, 0.0),
+        ("geominc", 2, np.nan),  # t0
+    ],
+)
+def test_out_of_domain_lane_is_named(family, lane_vector, bad):
+    """A NaN, infinite or out-of-domain lane fails fast, naming lane and value."""
+    lanes = [np.full(4, 0.5), np.full(4, 2.0 if family == "geomdec" else 100.0),
+             np.full(4, 3.0)]
+    lanes[lane_vector][2] = bad
+    with pytest.raises(InvalidScheduleError, match=f"got {bad} at lane 2$"):
+        generate_schedules_hetero(family, *lanes, d=2)

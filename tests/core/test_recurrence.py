@@ -125,6 +125,11 @@ class TestGeneratedSchedules:
         with pytest.raises(InvalidScheduleError):
             generate_schedule(UniformRisk(10.0), -1.0, 5.0)
 
+    @pytest.mark.parametrize("c,t0", [(math.nan, 5.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_inputs_rejected(self, c, t0):
+        with pytest.raises(InvalidScheduleError, match="finite"):
+            generate_schedule(UniformRisk(100.0), c, t0)
+
     def test_t0_at_lifespan_clamps(self):
         p = UniformRisk(10.0)
         out = generate_schedule(p, 1.0, 12.0)
