@@ -2,12 +2,12 @@
 
 Drives the 1024-query Zipf acceptance mix through the sharded serving tier
 (:class:`repro.core.sharding.ShardedPlanServer`) at 1, 2, 4, and 8 worker
-processes, each worker owning its own mmap'd guideline tables, plan cache,
-and :class:`PlanServer` fallback chain, and compares every configuration's
-plan stream **bit for bit** against the single-process
-:meth:`PlanServer.serve_batch` reference — a fast wrong answer is
-worthless, and a shard split that changed even one plan's source label
-would invalidate the whole decomposition argument.
+processes, each worker loading its own copy of the guideline tables and
+owning its own plan cache and :class:`PlanServer` fallback chain, and
+compares every configuration's plan stream **bit for bit** against the
+single-process :meth:`PlanServer.serve_batch` reference — a fast wrong
+answer is worthless, and a shard split that changed even one plan's source
+label would invalidate the whole decomposition argument.
 
 Acceptance is two-tier because throughput scaling is a property of the
 *host*, not the code:

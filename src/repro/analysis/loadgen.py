@@ -291,10 +291,7 @@ def _build_server(
 ) -> PlanServer:
     """A :class:`PlanServer` over freshly warmed tables (+ shared cache)."""
     table_server = TableServer(cache_dir=cache_dir)
-    grids = {
-        fam: tuple(np.geomspace(g[0], g[-1], grid_points) for g in default_grids(fam))
-        for fam in families
-    }
+    grids = {fam: default_grids(fam, points=grid_points) for fam in families}
     table_server.warm(families=list(families), grids=grids, search_grid=search_grid)
     cache = table_server.cache
     if cache is None:
@@ -409,16 +406,13 @@ def _warm_table_dir(
 ) -> float:
     """Precompute the guideline tables into ``table_dir``; returns seconds.
 
-    One warm pass shared by the reference server and every worker count —
-    the whole point of the mmap'd table files is that N processes map the
-    same pages, so the bench must not re-warm per configuration.
+    One warm pass shared by the reference server and every worker count:
+    each process loads the same table files, so the bench must not re-warm
+    per configuration.
     """
     start = time.perf_counter()
     table_server = TableServer(cache_dir=table_dir, cache=PlanCache())
-    grids = {
-        fam: tuple(np.geomspace(g[0], g[-1], grid_points) for g in default_grids(fam))
-        for fam in families
-    }
+    grids = {fam: default_grids(fam, points=grid_points) for fam in families}
     table_server.warm(families=list(families), grids=grids, search_grid=search_grid)
     return time.perf_counter() - start
 
@@ -441,7 +435,7 @@ def run_shard_scaling(
     """The sharded scaling curve, bit-parity gated per worker count.
 
     Runs the acceptance mix through a **single-process** reference server
-    (memory-only plan cache over the shared mmap'd tables — the exact stack
+    (memory-only plan cache over the same table files — the exact stack
     every shard worker builds), then through a :class:`ShardedPlanServer`
     at each ``workers`` count, comparing the plan streams bit for bit.  The
     record's ``parity_ok`` is the AND over all counts; throughput numbers

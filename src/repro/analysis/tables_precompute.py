@@ -15,9 +15,12 @@ tables, and then answers arbitrary off-grid queries by
 3. falling back to the full optimizer only outside the table's bounds.
 
 The served schedule is exact for its ``t0`` (the recurrence is
-deterministic), and the polish step keeps the expected work within ~1e-9
-relative of the full :func:`~repro.core.optimizer.optimize_t0_via_recurrence`
-search — see ``benchmarks/bench_plan_cache.py`` for the measured numbers.
+deterministic).  Against the full
+:func:`~repro.core.optimizer.optimize_t0_via_recurrence` search, the polished
+plans' expected work is within 1.1e-10 relative for the uniform, poly and
+geominc families; geomdec's worst held-out point is 2.57e-6 relative, where
+the optimum sits on a cusp of ``E(t0)`` (see the ``_POLISH_*`` comment and
+``benchmarks/bench_plan_cache.py``).
 
 Tables live as ``.npz`` files under ``<cache_dir>/tables/v<schema>/``;
 :func:`load_table` is corruption-tolerant (a truncated or garbage file reads
@@ -81,20 +84,36 @@ def make_family_life(
     return make(family, param_value, int(dict(fixed or ()).get("d", 3.0)))
 
 
-def default_grids(family: str) -> tuple[FloatArray, FloatArray]:
+def default_grids(family: str, points: int = 17) -> tuple[FloatArray, FloatArray]:
     """The default ``(c_grid, param_grid)`` for one family's table.
 
-    Log-spaced: ``t0*`` varies like a power of both coordinates for every
-    Section 4 family, so geometric spacing equalizes the relative
-    interpolation error across the table.
+    Log-spaced, ``points`` per axis: ``t0*`` varies like a power of both
+    coordinates for every Section 4 family, so geometric spacing equalizes
+    the relative interpolation error across the table.
     """
     if family in ("uniform", "poly"):
-        return np.geomspace(0.5, 8.0, 17), np.geomspace(50.0, 1600.0, 17)
+        return np.geomspace(0.5, 8.0, points), np.geomspace(50.0, 1600.0, points)
     if family == "geomdec":
-        return np.geomspace(0.1, 1.5, 17), np.geomspace(1.02, 2.5, 17)
+        return np.geomspace(0.1, 1.5, points), np.geomspace(1.02, 2.5, points)
     if family == "geominc":
-        return np.geomspace(0.25, 4.0, 17), np.geomspace(10.0, 120.0, 17)
+        return np.geomspace(0.25, 4.0, points), np.geomspace(10.0, 120.0, points)
     raise PlanCacheError(f"unknown table family {family!r}")
+
+
+def _check_grids(c_grid: np.ndarray, param_grid: np.ndarray) -> None:
+    """Raise :class:`PlanCacheError` unless both axes can index a table.
+
+    Each axis must be 1-D with at least 2 points, finite, and strictly
+    increasing: the cell lookup (``searchsorted``) and the bilinear weights
+    assume exactly that.
+    """
+    for name, grid in (("c_grid", c_grid), ("param_grid", param_grid)):
+        if grid.ndim != 1 or grid.size < 2:
+            raise PlanCacheError(f"table {name} must be 1-D with at least 2 points")
+        if not np.all(np.isfinite(grid)):
+            raise PlanCacheError(f"table {name} must be finite")
+        if np.any(np.diff(grid) <= 0):
+            raise PlanCacheError(f"table {name} must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -263,10 +282,7 @@ def precompute_table(
         param_grid = default_param if param_grid is None else param_grid
     c_grid = np.asarray(c_grid, dtype=float)
     param_grid = np.asarray(param_grid, dtype=float)
-    if c_grid.size < 2 or param_grid.size < 2:
-        raise PlanCacheError("table grids need at least 2 points per axis")
-    if np.any(np.diff(c_grid) <= 0) or np.any(np.diff(param_grid) <= 0):
-        raise PlanCacheError("table grids must be strictly increasing")
+    _check_grids(c_grid, param_grid)
 
     params_list = [
         {
@@ -334,113 +350,41 @@ def save_table(table: GuidelineTable, path: Union[str, Path]) -> Path:
     return path
 
 
-#: Arrays worth sharing between worker processes (the big per-cell grids).
-_MMAP_ARRAYS = ("t0", "expected_work", "num_periods")
-
-
-def _mmap_npz_arrays(
-    path: Path, names: tuple[str, ...]
-) -> Optional[dict[str, np.ndarray]]:
-    """Map ``names`` out of an uncompressed ``.npz`` as zero-copy read-only arrays.
-
-    ``np.load(mmap_mode=...)`` silently ignores the request for ``.npz``
-    archives, so process-pool workers each deserialize a private copy of
-    every table.  ``np.savez`` stores members uncompressed (``ZIP_STORED``),
-    which means each ``.npy`` member sits contiguously in the file: one
-    shared :mod:`mmap` of the archive plus :func:`np.frombuffer` at each
-    member's data offset yields arrays whose pages the OS shares across
-    every process that maps the same file.  Returns ``None`` (caller keeps
-    the regular in-memory load) on any structural surprise — compressed
-    members, unknown npy versions, short reads.
-    """
-    import io
-    import mmap as mmap_mod
-    import struct
-
-    try:
-        with open(path, "rb") as fh:
-            mm = mmap_mod.mmap(fh.fileno(), 0, access=mmap_mod.ACCESS_READ)
-        with zipfile.ZipFile(path) as zf:
-            arrays: dict[str, np.ndarray] = {}
-            for name in names:
-                info = zf.getinfo(f"{name}.npy")
-                if info.compress_type != zipfile.ZIP_STORED:
-                    return None
-                # The central directory's extra field can differ from the
-                # local header's; re-read the local header for the offsets.
-                off = info.header_offset
-                sig, = struct.unpack("<I", mm[off : off + 4])
-                if sig != 0x04034B50:  # local file header magic
-                    return None
-                name_len, extra_len = struct.unpack("<HH", mm[off + 26 : off + 30])
-                data_off = off + 30 + name_len + extra_len
-                header = io.BytesIO(mm[data_off : data_off + 4096])
-                version = np.lib.format.read_magic(header)
-                if version == (1, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(header)
-                elif version == (2, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(header)
-                else:
-                    return None
-                if fortran or dtype.hasobject:
-                    return None
-                count = int(np.prod(shape, dtype=np.int64))
-                arr = np.frombuffer(
-                    mm, dtype=dtype, count=count, offset=data_off + header.tell()
-                ).reshape(shape)
-                arrays[name] = arr  # read-only; .base keeps the mmap alive
-        return arrays
-    except (OSError, ValueError, KeyError, EOFError, struct.error, zipfile.BadZipFile):
-        return None
-
-
-def load_table(
-    path: Union[str, Path], mmap_mode: Optional[str] = None
-) -> Optional[GuidelineTable]:
+def load_table(path: Union[str, Path]) -> Optional[GuidelineTable]:
     """Load a table; ``None`` for missing, corrupt, or wrong-schema files.
 
-    ``mmap_mode="r"`` additionally maps the big per-cell grids (``t0``,
-    ``expected_work``, ``num_periods``) straight out of the archive as
-    shared read-only pages (see :func:`_mmap_npz_arrays`); when mapping is
-    not possible the load silently stays in-memory.
+    A file also reads as corrupt when an axis (``c_grid``, ``param_grid``)
+    is not 1-D, finite and strictly increasing with at least 2 points, or
+    when a per-cell grid (``t0``, ``expected_work``, ``num_periods``) is not
+    ``(len(c_grid), len(param_grid))``.
     """
-    path = Path(path)
     try:
         with np.load(path, allow_pickle=False) as data:
             if int(data["schema_version"][0]) != TABLE_SCHEMA_VERSION:
                 return None
-            fixed = tuple(
-                (str(k), float(v))
-                for k, v in zip(data["fixed_names"], data["fixed_values"])
-            )
-            grids = {
-                "t0": np.asarray(data["t0"], dtype=float),
-                "expected_work": np.asarray(data["expected_work"], dtype=float),
-                "num_periods": np.asarray(data["num_periods"], dtype=int),
-            }
-            if mmap_mode == "r":
-                mapped = _mmap_npz_arrays(path, _MMAP_ARRAYS)
-                if mapped is not None and all(
-                    mapped[k].shape == grids[k].shape
-                    and mapped[k].dtype == grids[k].dtype
-                    for k in _MMAP_ARRAYS
-                ):
-                    grids = mapped
             table = GuidelineTable(
                 family=str(data["family"][0]),
                 param_name=str(data["param_name"][0]),
-                fixed=fixed,
+                fixed=tuple(
+                    (str(k), float(v))
+                    for k, v in zip(data["fixed_names"], data["fixed_values"])
+                ),
                 c_grid=np.asarray(data["c_grid"], dtype=float),
                 param_grid=np.asarray(data["param_grid"], dtype=float),
-                t0=grids["t0"],
-                expected_work=grids["expected_work"],
-                num_periods=grids["num_periods"],
+                t0=np.asarray(data["t0"], dtype=float),
+                expected_work=np.asarray(data["expected_work"], dtype=float),
+                num_periods=np.asarray(data["num_periods"], dtype=int),
                 search_grid=int(data["search"][0]),
                 search_widen=float(data["search"][1]),
             )
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        _check_grids(table.c_grid, table.param_grid)
+    except (OSError, ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile,
+            PlanCacheError):
         return None
-    if table.t0.shape != table.shape or table.expected_work.shape != table.shape:
+    if any(
+        grid.shape != table.shape
+        for grid in (table.t0, table.expected_work, table.num_periods)
+    ):
         return None
     return table
 
@@ -465,8 +409,7 @@ class TableServer:
     """Serve near-optimal schedules from precomputed tables in ~O(m) time.
 
     Holds one :class:`GuidelineTable` per family (loaded lazily from
-    ``cache_dir``, with the big grids mmapped read-only by default so pool
-    workers share pages), answers :meth:`query` / :meth:`query_batch` by
+    ``cache_dir`` by :func:`load_table`), answers :meth:`query` / :meth:`query_batch` by
     interpolate + polish, and falls back to the full optimizer — through the
     shared plan cache — outside table bounds.  When no explicit ``cache`` is
     given but ``cache_dir`` is, a :class:`PlanCache` over the same directory
@@ -484,7 +427,6 @@ class TableServer:
         self,
         cache_dir: Optional[Union[str, Path]] = None,
         cache: Optional[PlanCache] = None,
-        mmap_tables: bool = True,
     ) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if cache is None and self.cache_dir is not None:
@@ -493,7 +435,6 @@ class TableServer:
             # hijack.
             cache = PlanCache(cache_dir=self.cache_dir)
         self.cache = cache
-        self.mmap_tables = bool(mmap_tables)
         self._tables: dict[str, Optional[GuidelineTable]] = {}
         self.counters: dict[str, Any] = {"table": 0, "optimizer": 0, "seconds": 0.0}
 
@@ -502,14 +443,16 @@ class TableServer:
         self._tables[table.family] = table
 
     def table(self, family: str) -> Optional[GuidelineTable]:
-        """The family's table, loading from ``cache_dir`` on first use."""
+        """The family's table, loading from ``cache_dir`` on first use.
+
+        A file that holds another family's table is no table for ``family``.
+        """
         if family not in self._tables:
             loaded = None
             if self.cache_dir is not None:
-                loaded = load_table(
-                    table_path(self.cache_dir, family),
-                    mmap_mode="r" if self.mmap_tables else None,
-                )
+                loaded = load_table(table_path(self.cache_dir, family))
+            if loaded is not None and loaded.family != family:
+                loaded = None
             self._tables[family] = loaded
         return self._tables[family]
 

@@ -430,12 +430,7 @@ def _cmd_plancache(args: argparse.Namespace) -> int:
     import shutil
     import time
 
-    from .analysis.tables_precompute import (
-        TableServer,
-        default_grids,
-        load_table,
-        table_path,
-    )
+    from .analysis.tables_precompute import TableServer, default_grids, table_path
 
     cache_dir = args.cache_dir or str(core.default_cache_dir())
 
@@ -444,9 +439,7 @@ def _cmd_plancache(args: argparse.Namespace) -> int:
         if args.grid_points < 2:
             raise SystemExit(f"--grid-points must be >= 2, got {args.grid_points}")
         grids = {
-            fam: tuple(np.geomspace(g[0], g[-1], args.grid_points)
-                       for g in default_grids(fam))
-            for fam in families
+            fam: default_grids(fam, points=args.grid_points) for fam in families
         }
         server = TableServer(cache_dir=cache_dir)
         start = time.perf_counter()
@@ -487,9 +480,10 @@ def _cmd_plancache(args: argparse.Namespace) -> int:
               f"p50 {lat['p50'] * 1e3:.3f} ms, p95 {lat['p95'] * 1e3:.3f} ms, "
               f"p99 {lat['p99'] * 1e3:.3f} ms "
               f"over {cache.stats.latency.count} sample(s)")
+        tables = TableServer(cache_dir=cache_dir, cache=cache)
         for fam in sorted(TABLE_FAMILIES):
             path = table_path(cache_dir, fam)
-            table = load_table(path)
+            table = tables.table(fam)
             if table is None:
                 status = "missing" if not path.exists() else "corrupt/incompatible"
                 print(f"table {fam:8s}: {status}")
@@ -590,7 +584,7 @@ def _cmd_servebench_sharded(args: argparse.Namespace) -> int:
           f"{cfg['distinct']} distinct (zipf skew {cfg['skew']:g}), "
           f"families {', '.join(cfg['families'])}, "
           f"{record['cpu_count']} cpu(s)")
-    print(f"tables warmed : {record['warm_seconds']:.2f}s (shared mmap dir)")
+    print(f"tables warmed : {record['warm_seconds']:.2f}s (one table dir)")
     sp = record["single_process"]
     print(f"single-proc   : {sp['throughput_qps']:10.0f} q/s   "
           f"p50 {sp['p50'] * 1e3:7.3f} ms  p95 {sp['p95'] * 1e3:7.3f} ms  "

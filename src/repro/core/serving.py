@@ -303,11 +303,6 @@ class PlanServer:
     chaos:
         An optional :class:`TierChaos` injecting per-tier faults — the chaos
         harness's entry point into the serving stack.
-    search_engine:
-        The ``optimize_t0_via_recurrence`` engine the optimizer tier runs
-        (``"batch"`` or ``"scalar"``) and the cache tier keys its peek on.
-        The engine is part of the plan-cache key, so the cache tier only
-        sees entries written by an optimizer tier running the same engine.
 
     A query that *no* tier can answer raises
     :class:`~repro.exceptions.PlanServingError`; per-tier outcomes accumulate
@@ -331,18 +326,7 @@ class PlanServer:
         breaker_cooldown: float = 30.0,
         clock: Optional[Callable[[], float]] = None,
         chaos: Optional[TierChaos] = None,
-        search_engine: Optional[str] = None,
     ) -> None:
-        if search_engine is not None:
-            if search_engine not in ("batch", "scalar"):
-                raise ValueError(
-                    f"unknown search_engine {search_engine!r}; expected "
-                    f"'batch' or 'scalar'"
-                )
-            # Shadows the class default for this server only; both the cache
-            # tier's key and the optimizer tier's sweep read it, so the two
-            # stay consistent with each other.
-            self._SEARCH_ENGINE = search_engine
         self.table_server = table_server
         self.cache = cache
         self.chaos = chaos

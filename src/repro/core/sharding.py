@@ -5,10 +5,10 @@ micro-batching front door) is capped by one interpreter.  This module scales
 it *out*: a front door that routes every query to one of ``N`` shard worker
 **processes** by hashing the query's LifeFunction
 :meth:`~repro.core.life_functions.LifeFunction.fingerprint`, with a
-shared-nothing design — each worker owns its mmap'd
-:class:`~repro.analysis.tables_precompute.GuidelineTable` views (zero-copy
-page sharing), its own :class:`~repro.core.plancache.PlanCache`, and its own
-:class:`~repro.core.serving.PlanServer` fallback chain.
+shared-nothing design — each worker loads its own
+:class:`~repro.analysis.tables_precompute.GuidelineTable` copies from one
+table directory, and owns its own :class:`~repro.core.plancache.PlanCache`
+and :class:`~repro.core.serving.PlanServer` fallback chain.
 
 Routing invariants (the bit-parity contract):
 
@@ -39,7 +39,7 @@ frame is detected on receipt instead of desynchronizing the stream.
 Crash handling reuses the PR-4 resilience machinery: one
 :class:`~repro.core.serving.CircuitBreaker` per shard, a bounded restart
 budget, and an **in-process fallback chain** (a parent-side
-:class:`PlanServer` over the same mmap'd tables) that serves a dead shard's
+:class:`PlanServer` over the same table directory) that serves a dead shard's
 lanes, so a worker crash degrades throughput monotonically instead of
 failing the batch.
 """
@@ -273,46 +273,34 @@ class ShardConfig:
 
     shard: int
     n_shards: int
-    #: Directory holding the precomputed guideline tables (mmap'd read-only
-    #: by every worker — zero-copy page sharing).  ``None`` disables the
-    #: table tier; the chain still serves via cache/optimizer/guideline.
+    #: Directory holding the precomputed guideline tables, loaded by every
+    #: worker.  ``None`` disables the table tier; the chain still serves via
+    #: cache/optimizer/guideline.
     table_dir: Optional[str] = None
-    mmap_tables: bool = True
     #: Per-tier chaos rates; the worker salts its streams with ``shard``.
     chaos_rates: Optional[dict[str, float]] = None
     chaos_seed: int = 0
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 30.0
-    cache_maxsize: int = 1024
 
 
 def build_shard_server(config: ShardConfig) -> PlanServer:
     """One shard's shared-nothing serving stack.
 
     A memory-only :class:`PlanCache` (never the disk tier — shards must not
-    couple through the filesystem), the table server over the shared mmap'd
-    table directory, and a per-shard-salted :class:`TierChaos` when chaos is
+    couple through the filesystem), the table server over the shared table
+    directory, and a per-shard-salted :class:`TierChaos` when chaos is
     configured.  The single-process parity reference builds the *same* stack
     (minus the shard salt) so the comparison is apples to apples.
     """
-    cache = PlanCache(maxsize=config.cache_maxsize)
+    cache = PlanCache()
     table_server = None
     if config.table_dir is not None:
         from ..analysis.tables_precompute import TableServer  # deferred: analysis imports core
 
-        table_server = TableServer(
-            cache_dir=config.table_dir, cache=cache, mmap_tables=config.mmap_tables
-        )
+        table_server = TableServer(cache_dir=config.table_dir, cache=cache)
     chaos = None
     if config.chaos_rates:
         chaos = TierChaos(config.chaos_rates, seed=config.chaos_seed, shard=config.shard)
-    return PlanServer(
-        table_server=table_server,
-        cache=cache,
-        breaker_threshold=config.breaker_threshold,
-        breaker_cooldown=config.breaker_cooldown,
-        chaos=chaos,
-    )
+    return PlanServer(table_server=table_server, cache=cache, chaos=chaos)
 
 
 def _worker_main(conn: Any, config: ShardConfig) -> None:
@@ -526,8 +514,8 @@ class ShardedPlanServer:
         ``inprocess=True``, a worker-equivalent in-process serving stack —
         the differential reference for the cross-process parity suite).
     table_dir:
-        Directory of precomputed guideline tables, mmap'd read-only by every
-        shard (and by the parent's fallback chain).  ``None`` serves without
+        Directory of precomputed guideline tables, loaded by every shard
+        (and by the parent's fallback chain).  ``None`` serves without
         the table tier.
     chaos_rates / chaos_seed:
         Optional per-tier fault rates; each shard draws from its own
@@ -568,9 +556,7 @@ class ShardedPlanServer:
         breaker_cooldown: float = 5.0,
         clock: Optional[Callable[[], float]] = None,
         mp_method: Optional[str] = None,
-        mmap_tables: bool = True,
         inprocess: bool = False,
-        cache_maxsize: int = 1024,
     ) -> None:
         if workers < 1:
             raise ShardingError(f"workers must be >= 1, got {workers}")
@@ -589,10 +575,8 @@ class ShardedPlanServer:
                 shard=s,
                 n_shards=self.n_shards,
                 table_dir=str(table_dir) if table_dir is not None else None,
-                mmap_tables=bool(mmap_tables),
                 chaos_rates=dict(chaos_rates) if chaos_rates else None,
                 chaos_seed=int(chaos_seed),
-                cache_maxsize=int(cache_maxsize),
             )
             for s in range(self.n_shards)
         ]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.analysis.loadgen import plans_identical
 from repro.analysis.tables_precompute import (
     TABLE_FAMILIES,
     TABLE_SCHEMA_VERSION,
@@ -18,6 +21,9 @@ from repro.analysis.tables_precompute import (
     table_path,
 )
 from repro.core.optimizer import optimize_t0_via_recurrence
+from repro.core.plancache import PlanCache
+from repro.core.serving import PlanServer
+from repro.core.sharding import ShardConfig, build_shard_server
 from repro.exceptions import PlanCacheError
 
 
@@ -28,6 +34,23 @@ def uniform_table() -> GuidelineTable:
         c_grid=np.geomspace(1.0, 4.0, 5),
         param_grid=np.geomspace(80.0, 640.0, 5),
     )
+
+
+def _rows(table: GuidelineTable, rows: list) -> GuidelineTable:
+    """``table`` restricted to the ``c_grid`` rows ``rows``, in that order."""
+    return replace(table, c_grid=table.c_grid[rows], t0=table.t0[rows],
+                   expected_work=table.expected_work[rows],
+                   num_periods=table.num_periods[rows])
+
+
+#: Tables that save fine but could not index a cell: load_table rejects them.
+MALFORMED = {
+    "one-point c_grid": lambda t: _rows(t, [0]),
+    "unsorted c_grid": lambda t: _rows(t, [0, 4, 2]),
+    "non-finite param_grid": lambda t: replace(
+        t, param_grid=np.where(np.arange(5) == 2, np.nan, t.param_grid)),
+    "num_periods shape": lambda t: replace(t, num_periods=t.num_periods[:, :4]),
+}
 
 
 class TestPrecompute:
@@ -139,6 +162,29 @@ class TestPersistence:
         path.write_bytes(blob[: len(blob) // 2])
         assert load_table(path) is None
 
+    def test_empty_member_is_none(self, uniform_table, tmp_path):
+        path = table_path(tmp_path, "uniform")
+        save_table(uniform_table, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = dict(data)
+        np.savez(path, **{**arrays, "search": np.asarray([])})
+        assert load_table(path) is None
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_table_is_none(self, uniform_table, tmp_path, case):
+        path = save_table(MALFORMED[case](uniform_table),
+                          table_path(tmp_path, "uniform"))
+        assert load_table(path) is None
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_table_falls_back_to_optimizer(self, uniform_table, tmp_path,
+                                                     case):
+        save_table(MALFORMED[case](uniform_table), table_path(tmp_path, "uniform"))
+        server = TableServer(cache_dir=tmp_path, cache=PlanCache())
+        assert server.query("uniform", 1.0, 100.0).source == "optimizer"
+        assert server.query("uniform", 2.0, 100.0).source == "optimizer"
+
 
 class TestServer:
     def test_off_grid_query_accuracy(self, uniform_table):
@@ -178,6 +224,12 @@ class TestServer:
         server = TableServer(cache_dir=tmp_path)
         answer = server.query("uniform", 2.0, 100.0)
         assert answer.source == "optimizer"
+
+    def test_table_of_another_family_falls_back(self, uniform_table, tmp_path):
+        save_table(uniform_table, table_path(tmp_path, "geominc"))
+        server = TableServer(cache_dir=tmp_path, cache=PlanCache())
+        assert server.table("geominc") is None
+        assert server.query("geominc", 2.0, 100.0).source == "optimizer"
 
     def test_warm_persists_and_reloads(self, tmp_path):
         grids = {"geominc": (np.geomspace(0.5, 2.0, 3), np.geomspace(15.0, 60.0, 3))}
@@ -282,42 +334,52 @@ class TestBatchQueries:
 
 
 class TestMmapTables:
-    def test_mmap_load_equals_memory_load(self, uniform_table, tmp_path):
-        path = save_table(uniform_table, table_path(tmp_path, "uniform"))
-        mem = load_table(path)
-        mapped = load_table(path, mmap_mode="r")
-        assert mapped is not None
-        np.testing.assert_array_equal(mem.t0, mapped.t0)
-        np.testing.assert_array_equal(mem.expected_work, mapped.expected_work)
-        np.testing.assert_array_equal(mem.num_periods, mapped.num_periods)
+    """Tables loaded from disk serve exactly what in-memory tables serve."""
 
-    def test_mmap_arrays_are_read_only_views(self, uniform_table, tmp_path):
-        path = save_table(uniform_table, table_path(tmp_path, "uniform"))
-        mapped = load_table(path, mmap_mode="r")
-        assert not mapped.t0.flags.writeable
-        with pytest.raises((ValueError, RuntimeError)):
-            mapped.t0[0, 0] = 1.0
+    @pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+    def test_loaded_tables_serve_like_memory_tables(self, family, tmp_path):
+        c_grid, p_grid = default_grids(family, points=3)
+        table = precompute_table(family, c_grid=c_grid, param_grid=p_grid,
+                                 search_grid=33)
+        save_table(table, table_path(tmp_path, family))
+        # An on-grid point, two off-grid points, one out of bounds.
+        cs = [c_grid[1], np.sqrt(c_grid[0] * c_grid[1]),
+              np.sqrt(c_grid[1] * c_grid[2]), c_grid[1]]
+        vs = [p_grid[1], np.sqrt(p_grid[1] * p_grid[2]),
+              np.sqrt(p_grid[0] * p_grid[1]), p_grid[-1] * 1.1]
+        fams = [family] * len(cs)
 
-    def test_mmap_serving_matches_memory_serving(self, uniform_table, tmp_path):
-        save_table(uniform_table, table_path(tmp_path, "uniform"))
-        mapped = TableServer(cache_dir=tmp_path, mmap_tables=True)
-        plain = TableServer(cache_dir=tmp_path, mmap_tables=False)
-        a = mapped.query("uniform", 2.3, 199.0)
-        b = plain.query("uniform", 2.3, 199.0)
-        assert a.t0 == b.t0 and a.expected_work == b.expected_work
-        assert np.array_equal(a.schedule.periods, b.schedule.periods)
+        memory = TableServer(cache=PlanCache())
+        memory.add_table(table)
+        loaded = TableServer(cache_dir=tmp_path, cache=PlanCache())
+        expected = memory.query_batch(fams, cs, vs)
+        got = loaded.query_batch(fams, cs, vs)
+        assert [a.source for a in got] == ["table"] * 3 + ["optimizer"]
+        assert all(plans_identical(a, b) for a, b in zip(got, expected))
+
+        cache = PlanCache()
+        reference = TableServer(cache=cache)
+        reference.add_table(table)
+        expected = PlanServer(table_server=reference, cache=cache).serve_batch(
+            fams, cs, vs
+        )
+        shard = build_shard_server(
+            ShardConfig(shard=0, n_shards=1, table_dir=str(tmp_path))
+        )
+        got = shard.serve_batch(fams, cs, vs)
+        assert [a.source for a in got] == ["table"] * 3 + ["optimizer"]
+        assert all(plans_identical(a, b) for a, b in zip(got, expected))
 
     def test_compressed_npz_falls_back_to_memory_load(self, uniform_table, tmp_path):
-        # np.load cannot mmap inside a compressed archive: the loader must
-        # silently fall back to a plain in-memory load, never fail.
+        # A compressed archive holds the same arrays: it loads like a stored one.
         path = table_path(tmp_path, "uniform")
         save_table(uniform_table, path)
         with np.load(path, allow_pickle=False) as data:
             arrays = dict(data)
         np.savez_compressed(path, **arrays)
-        mapped = load_table(path, mmap_mode="r")
-        assert mapped is not None
-        np.testing.assert_array_equal(mapped.t0, uniform_table.t0)
+        loaded = load_table(path)
+        assert loaded is not None
+        np.testing.assert_array_equal(loaded.t0, uniform_table.t0)
 
 
 class TestFallbackCache:
@@ -339,8 +401,6 @@ class TestFallbackCache:
         assert np.array_equal(second.schedule.periods, first.schedule.periods)
 
     def test_explicit_cache_not_replaced(self, uniform_table, tmp_path):
-        from repro.core.plancache import PlanCache
-
         cache = PlanCache()
         server = TableServer(cache_dir=tmp_path, cache=cache)
         assert server.cache is cache
@@ -359,7 +419,7 @@ class TestHeldOutAccuracy:
 
     @staticmethod
     def rel_error(family: str, c: float, v: float) -> float:
-        c_grid, p_grid = (np.geomspace(g[0], g[-1], 9) for g in default_grids(family))
+        c_grid, p_grid = default_grids(family, points=9)
         i, j = np.searchsorted(c_grid, c) - 1, np.searchsorted(p_grid, v) - 1
         server = TableServer()
         server.add_table(precompute_table(family, c_grid=c_grid[i:i + 2],

@@ -28,7 +28,7 @@ def warmed_table_dir(tmp_path_factory) -> dict:
     """A session-scoped directory of precomputed guideline tables.
 
     Warmed **once** per test session and shared by every batched-serving
-    and multiprocess-sharding test — worker processes mmap the same npz
+    and multiprocess-sharding test — worker processes load the same npz
     files, so re-precomputing per test would dominate the suite's runtime.
     Consumers must open it read-only (``TableServer(cache_dir=...,
     cache=PlanCache())``) and never write through it.
@@ -41,10 +41,7 @@ def warmed_table_dir(tmp_path_factory) -> dict:
 
     path = tmp_path_factory.mktemp("guideline-tables")
     grids = {
-        fam: tuple(
-            np.geomspace(g[0], g[-1], TABLE_FIXTURE_GRID_POINTS)
-            for g in default_grids(fam)
-        )
+        fam: default_grids(fam, points=TABLE_FIXTURE_GRID_POINTS)
         for fam in TABLE_FIXTURE_FAMILIES
     }
     server = TableServer(cache_dir=path, cache=PlanCache())

@@ -209,11 +209,6 @@ class TestPlanServer:
         with pytest.raises(Exception):
             server.serve("no-such-family", 1.0, 30.0)
 
-    @pytest.mark.parametrize("engine", ["warp", "jit"])
-    def test_unknown_search_engine_rejected(self, engine):
-        with pytest.raises(ValueError, match="unknown search_engine"):
-            PlanServer(search_engine=engine)
-
     def test_stats_dict_shape(self):
         server = self._server()
         server.serve(self.FAMILY, self.C, self.PARAM)

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -209,3 +210,8 @@ class TestShardConfig:
             chaos_rates={"optimizer": 0.5}, chaos_seed=7,
         )
         assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+    def test_fields(self):
+        assert [f.name for f in fields(ShardConfig)] == [
+            "shard", "n_shards", "table_dir", "chaos_rates", "chaos_seed",
+        ]

@@ -53,8 +53,8 @@ class TestCrossProcessParity:
     def test_workers_match_single_process_with_tables(self, warmed_table_dir):
         """The acceptance-shape parity: a batch stream over warmed tables.
 
-        The reference is the exact per-worker stack (mmap'd tables +
-        memory-only plan cache) run in one process; three worker processes
+        The reference is the exact per-worker stack (tables loaded from the
+        table directory + memory-only plan cache) run in one process; three worker processes
         must reproduce its plans bit for bit — including source labels,
         whose divergence would reveal cache/table tier drift — across a
         stream of batches, i.e. with cache warmth evolving.

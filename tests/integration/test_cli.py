@@ -168,6 +168,17 @@ class TestPlanCacheCommand:
         main(["plancache", "stats", "--cache-dir", cache_dir])
         assert "table uniform : missing" in capsys.readouterr().out
 
+    def test_stats_reports_table_of_another_family(self, tmp_path, capsys):
+        main(["plancache", "warm", "--family", "uniform", "--cache-dir",
+              str(tmp_path), "--grid-points", "3", "--search-grid", "17"])
+        tables = tmp_path / "tables" / "v1"
+        (tables / "geominc.npz").write_bytes((tables / "uniform.npz").read_bytes())
+        capsys.readouterr()
+        assert main(["plancache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "table uniform : 3x3" in out
+        assert "table geominc : corrupt/incompatible" in out
+
     def test_warm_smoke_default_grid(self, tmp_path, capsys):
         """The documented tier-1 smoke invocation, on a tiny grid."""
         status = main(["plancache", "warm", "--family", "uniform",
