@@ -284,20 +284,13 @@ def plans_identical(a: ServedPlan, b: ServedPlan) -> bool:
 
 
 def _build_server(
-    cache_dir: Optional[Union[str, Path]],
-    families: Sequence[str],
-    grid_points: int,
-    search_grid: int,
+    families: Sequence[str], grid_points: int, search_grid: int
 ) -> PlanServer:
-    """A :class:`PlanServer` over freshly warmed tables (+ shared cache)."""
-    table_server = TableServer(cache_dir=cache_dir)
+    """A :class:`PlanServer` over freshly warmed in-memory tables + a cold cache."""
+    table_server = TableServer()
     grids = {fam: default_grids(fam, points=grid_points) for fam in families}
     table_server.warm(families=list(families), grids=grids, search_grid=search_grid)
-    cache = table_server.cache
-    if cache is None:
-        cache = PlanCache()
-        table_server.cache = cache
-    return PlanServer(table_server=table_server, cache=cache)
+    return PlanServer(table_server=table_server, cache=PlanCache())
 
 
 def run_servebench(
@@ -310,7 +303,6 @@ def run_servebench(
     grid_points: int = 9,
     search_grid: int = 129,
     families: Optional[Sequence[str]] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
     open_loop: bool = True,
 ) -> dict[str, Any]:
     """The full servebench record: scalar vs batched vs open-loop.
@@ -335,8 +327,8 @@ def run_servebench(
     build_start = time.perf_counter()
     # Independent servers per runner: tier stats, breakers, and cache warmth
     # must not leak between the baseline and the batched run.
-    scalar_server = _build_server(cache_dir, fams, grid_points, search_grid)
-    batched_server = _build_server(cache_dir, fams, grid_points, search_grid)
+    scalar_server = _build_server(fams, grid_points, search_grid)
+    batched_server = _build_server(fams, grid_points, search_grid)
     warm_seconds = time.perf_counter() - build_start
 
     mix = zipf_query_mix(
@@ -384,7 +376,7 @@ def run_servebench(
         },
     }
     if open_loop:
-        open_server = _build_server(cache_dir, fams, grid_points, search_grid)
+        open_server = _build_server(fams, grid_points, search_grid)
         open_report = run_open_loop(
             open_server, mix, max_batch=batch_size, max_delay_ms=2.0
         )
@@ -411,7 +403,7 @@ def _warm_table_dir(
     per configuration.
     """
     start = time.perf_counter()
-    table_server = TableServer(cache_dir=table_dir, cache=PlanCache())
+    table_server = TableServer(cache_dir=table_dir)
     grids = {fam: default_grids(fam, points=grid_points) for fam in families}
     table_server.warm(families=list(families), grids=grids, search_grid=search_grid)
     return time.perf_counter() - start

@@ -12,7 +12,10 @@ tables, and then answers arbitrary off-grid queries by
 2. one cheap batch-recurrence regeneration: a bounded 1-D polish of ``t0``
    over the cell's corner bracket (each evaluation is a single Corollary 3.1
    recurrence walk), then the final :func:`generate_schedule` call;
-3. falling back to the full optimizer only outside the table's bounds.
+3. reporting every other query (outside the table's bounds, no table, a
+   cell with missing corners) as a per-lane miss, which
+   :class:`~repro.core.serving.PlanServer` sends on to the plan cache, the
+   full optimizer and the closed-form guideline tier.
 
 The served schedule is exact for its ``t0`` (the recurrence is
 deterministic).  Against the full
@@ -24,17 +27,16 @@ the optimum sits on a cusp of ``E(t0)`` (see the ``_POLISH_*`` comment and
 
 Tables live as ``.npz`` files under ``<cache_dir>/tables/v<schema>/``;
 :func:`load_table` is corruption-tolerant (a truncated or garbage file reads
-as "no table" and queries fall back to the optimizer).
+as "no table", so every query for that family falls through the table tier).
 """
 
 from __future__ import annotations
 
 import math
-import time
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from ..core.hetero_recurrence import HeteroBatchResult, generate_schedules_heter
 from ..core.life_functions import LifeFunction
 from ..core.life_functions.families import FAMILY_TABLE, make
 from ..core.optimizer import optimize_t0_via_recurrence
-from ..core.plancache import PlanCache, default_plan_cache
+from ..core.plancache import default_plan_cache
 from ..core.serving import ServedPlan
 from ..exceptions import CycleStealingError, PlanCacheError
 from ..types import FloatArray
@@ -223,8 +225,8 @@ class GuidelineTable:
         return float(est[0]), float(lo[0]), float(hi[0])
 
 
-#: A table answer is a served plan: ``source`` is ``"table"`` (interpolated +
-#: polished) or ``"optimizer"`` (the :meth:`TableServer.query` fallback).
+#: A table answer is a served plan with ``source="table"`` (interpolated +
+#: polished).
 PlanAnswer = ServedPlan
 
 
@@ -406,37 +408,20 @@ _POLISH_ROUNDS = 5
 
 
 class TableServer:
-    """Serve near-optimal schedules from precomputed tables in ~O(m) time.
+    """The strict table tier: schedules from precomputed tables in ~O(m) time.
 
     Holds one :class:`GuidelineTable` per family (loaded lazily from
-    ``cache_dir`` by :func:`load_table`), answers :meth:`query` / :meth:`query_batch` by
-    interpolate + polish, and falls back to the full optimizer — through the
-    shared plan cache — outside table bounds.  When no explicit ``cache`` is
-    given but ``cache_dir`` is, a :class:`PlanCache` over the same directory
-    is created, so repeated off-grid misses warm and hit the plan cache
-    instead of re-running the optimizer every time.  The source mix and the
-    time spent serving are tracked in ``counters``.
-
-    :meth:`serve_from_table_batch` is the strict table tier (no optimizer
-    fallback) that :class:`~repro.core.serving.PlanServer` calls;
-    :meth:`query` is a thin ``n = 1`` wrapper over :meth:`query_batch`, so a
-    batched query is bit-identical to the scalar loop.
+    ``cache_dir`` by :func:`load_table`) and answers
+    :meth:`serve_from_table_batch` by interpolate + polish.  It never falls
+    back: a query it cannot answer comes back as an error for that lane, and
+    :class:`~repro.core.serving.PlanServer` — the one fallback chain — sends
+    it on to the cache, optimizer and guideline tiers.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[Union[str, Path]] = None,
-        cache: Optional[PlanCache] = None,
-    ) -> None:
+    def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
+        #: The table directory's root (tables live under ``tables/v<schema>/``).
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if cache is None and self.cache_dir is not None:
-            # A private cache over the server's own directory — deliberately
-            # not the process-wide singleton, whose directory it must not
-            # hijack.
-            cache = PlanCache(cache_dir=self.cache_dir)
-        self.cache = cache
         self._tables: dict[str, Optional[GuidelineTable]] = {}
-        self.counters: dict[str, Any] = {"table": 0, "optimizer": 0, "seconds": 0.0}
 
     def add_table(self, table: GuidelineTable) -> None:
         """Register an in-memory table (used by tests and warm pipelines)."""
@@ -456,75 +441,6 @@ class TableServer:
             self._tables[family] = loaded
         return self._tables[family]
 
-    def _family_fixed(self, family: str) -> dict[str, float]:
-        fixed = dict(TABLE_FAMILIES[family][1])
-        table = self.table(family)
-        if table is not None:
-            fixed = dict(table.fixed)
-        return fixed
-
-    # ------------------------------------------------------------------
-    # Queries (batched core + scalar wrappers)
-    # ------------------------------------------------------------------
-
-    def query(
-        self,
-        family: str,
-        c: float,
-        param_value: float,
-        polish: bool = True,
-    ) -> ServedPlan:
-        """A near-optimal schedule for family ``(c, θ)``, served fast.
-
-        Inside table bounds: bilinear ``t0`` interpolation, an optional
-        bounded polish over the cell's corner bracket (recurrence-walk
-        evaluations only), and one final schedule regeneration.  Outside (or
-        with no table): the full ``t_0`` optimizer, riding ``self.cache``.
-        Thin ``n = 1`` wrapper over :meth:`query_batch`.
-        """
-        return self.query_batch([family], [c], [param_value], polish=polish)[0]
-
-    def query_batch(
-        self,
-        families: Sequence[str],
-        cs: FloatArray,
-        param_values: FloatArray,
-        polish: bool = True,
-    ) -> list[ServedPlan]:
-        """Serve a whole query batch: the table first, the optimizer for the rest.
-
-        Every lane goes through :meth:`serve_from_table_batch` (one
-        vectorized interpolate + polish pass per family table); the lanes it
-        cannot serve fall back to the full optimizer one by one in ascending
-        input order, riding ``self.cache``.  Answers come back in input order.
-        """
-        fams = [str(f) for f in families]
-        for family in dict.fromkeys(fams):
-            if family not in TABLE_FAMILIES:
-                raise PlanCacheError(
-                    f"unknown table family {family!r}; expected one of "
-                    f"{sorted(TABLE_FAMILIES)}"
-                )
-        cs_arr = np.asarray(cs, dtype=float)
-        vs_arr = np.asarray(param_values, dtype=float)
-        answers = self.serve_from_table_batch(fams, cs_arr, vs_arr, polish)
-        start = time.perf_counter()
-        for i, answer in enumerate(answers):
-            if isinstance(answer, ServedPlan):
-                continue
-            p = make_family_life(fams[i], float(vs_arr[i]), self._family_fixed(fams[i]))
-            t0, outcome, ew = optimize_t0_via_recurrence(
-                p, float(cs_arr[i]), cache=self.cache
-            )
-            answers[i] = ServedPlan(
-                family=fams[i], c=float(cs_arr[i]), param_value=float(vs_arr[i]),
-                t0=t0, schedule=outcome.schedule, expected_work=ew,
-                source="optimizer", termination=outcome.termination.value,
-            )
-            self.counters["optimizer"] += 1
-        self.counters["seconds"] += time.perf_counter() - start
-        return answers
-
     def serve_from_table_batch(
         self,
         families: Sequence[str],
@@ -543,7 +459,6 @@ class TableServer:
         than raising — the per-lane errors lets the serving chain mark
         individual lanes as tier misses without losing the rest of the batch.
         """
-        start = time.perf_counter()
         fams = [str(f) for f in families]
         cs_arr = np.asarray(cs, dtype=float)
         vs_arr = np.asarray(param_values, dtype=float)
@@ -575,8 +490,6 @@ class TableServer:
             )
             for gi, res in zip(group[inb], served):
                 results[int(gi)] = res
-        self.counters["table"] += sum(isinstance(r, ServedPlan) for r in results)
-        self.counters["seconds"] += time.perf_counter() - start
         return [r for r in results if r is not None]
 
     def _serve_from_table_batch(

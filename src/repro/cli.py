@@ -22,8 +22,9 @@ Commands
 ``plancache``
     Manage the schedule plan cache and precomputed guideline tables:
     ``warm`` sweeps the per-family ``(c, parameter)`` grids and persists
-    ``t0*``/``E*`` tables, ``query`` serves a schedule from the tables
-    (optimizer fallback outside bounds), ``stats`` reports cache contents,
+    ``t0*``/``E*`` tables, ``query`` serves a schedule through the
+    table → cache → optimizer → guideline chain and names the tier that
+    answered, ``stats`` reports cache contents,
     ``clear`` empties the disk tier.
 ``servebench``
     Load-generator benchmark for the serving stack: a Zipf-skewed query
@@ -101,6 +102,7 @@ from . import core
 from .analysis.tables import format_table
 from .analysis.tables_precompute import TABLE_FAMILIES
 from .core.life_functions.families import make
+from .exceptions import CycleStealingError
 
 __all__ = ["main", "build_parser", "make_life_function"]
 
@@ -207,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc_query.add_argument("--value", type=float, required=True,
                           help="family parameter (L for uniform/poly/geominc, a for geomdec)")
     pc_query.add_argument("--cache-dir", default=None)
-    pc_query.add_argument("--no-polish", action="store_true",
-                          help="skip the 1-D polish of the interpolated t0")
 
     pc_stats = pc_sub.add_parser("stats", help="report cache and table contents")
     pc_stats.add_argument("--cache-dir", default=None)
@@ -457,17 +457,21 @@ def _cmd_plancache(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "query":
-        server = TableServer(cache_dir=cache_dir,
-                             cache=core.default_plan_cache(cache_dir))
-        answer = server.query(args.family, args.c, args.value,
-                              polish=not args.no_polish)
+        server = core.PlanServer(table_server=TableServer(cache_dir),
+                                 cache=core.default_plan_cache(cache_dir))
+        start = time.perf_counter()
+        try:
+            answer = server.serve(args.family, args.c, args.value)
+        except (CycleStealingError, ValueError) as exc:
+            raise SystemExit(f"plancache query: {exc}") from exc
+        elapsed = time.perf_counter() - start
         print(f"family        : {args.family} "
               f"({TABLE_FAMILIES[args.family][0]} = {args.value}, c = {args.c})")
         print(f"source        : {answer.source}")
         print(f"t0            : {answer.t0:.6g}")
         print(f"periods       : {answer.schedule.num_periods}")
         print(f"expected work : {answer.expected_work:.6g}")
-        print(f"latency       : {server.counters['seconds'] * 1e3:.2f} ms")
+        print(f"latency       : {elapsed * 1e3:.2f} ms")
         return 0
 
     if args.action == "stats":
@@ -475,12 +479,7 @@ def _cmd_plancache(args: argparse.Namespace) -> int:
         print(f"cache dir     : {cache_dir}")
         print(f"schema        : v{core.CACHE_SCHEMA_VERSION}")
         print(f"disk entries  : {cache.disk_entries()}")
-        lat = cache.stats.latency.percentiles()
-        print(f"latency (this process): "
-              f"p50 {lat['p50'] * 1e3:.3f} ms, p95 {lat['p95'] * 1e3:.3f} ms, "
-              f"p99 {lat['p99'] * 1e3:.3f} ms "
-              f"over {cache.stats.latency.count} sample(s)")
-        tables = TableServer(cache_dir=cache_dir, cache=cache)
+        tables = TableServer(cache_dir)
         for fam in sorted(TABLE_FAMILIES):
             path = table_path(cache_dir, fam)
             table = tables.table(fam)

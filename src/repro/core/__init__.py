@@ -63,7 +63,6 @@ from .optimizer import (
 from .plancache import (
     CACHE_SCHEMA_VERSION,
     CacheStats,
-    LatencyReservoir,
     PlanCache,
     default_cache_dir,
     default_plan_cache,
@@ -172,7 +171,7 @@ __all__ = [
     "OptimizationResult", "optimize_fixed_m", "optimize_schedule",
     "optimize_t0_via_recurrence", "expected_work_gradient",
     # plan cache
-    "PlanCache", "CacheStats", "LatencyReservoir", "plan_key", "CACHE_SCHEMA_VERSION",
+    "PlanCache", "CacheStats", "plan_key", "CACHE_SCHEMA_VERSION",
     "default_plan_cache", "default_cache_dir", "reset_default_plan_cache",
     # resilient serving chain
     "PlanServer", "ServedPlan", "CircuitBreaker", "TierStats", "TierChaos",

@@ -15,7 +15,7 @@ This module provides:
   :meth:`~repro.core.life_functions.LifeFunction.fingerprint` with the
   overhead ``c``, the search tolerances, and the engine — see
   :func:`plan_key`.
-* :class:`CacheStats` — hit / miss / latency counters, exposed per cache.
+* :class:`CacheStats` — hit / miss / time counters, exposed per cache.
 * :func:`default_plan_cache` — a process-wide cache shared by the CLI and by
   sweep workers, and :func:`default_cache_dir` — the conventional on-disk
   location (``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro/plancache``).
@@ -30,14 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
-import random
 import tempfile
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -47,7 +45,6 @@ from .life_functions import LifeFunction
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CacheStats",
-    "LatencyReservoir",
     "PlanCache",
     "plan_key",
     "default_cache_dir",
@@ -59,6 +56,10 @@ __all__ = [
 #: the key construction or payload formats; entries written under other
 #: versions are invisible (they live in a versioned subdirectory).
 CACHE_SCHEMA_VERSION = 1
+
+#: What a lookup returns when neither tier holds the key (a cached value may
+#: itself be ``None``).
+_MISS = object()
 
 
 def _canon(value: Any) -> str:
@@ -90,64 +91,9 @@ def plan_key(op: str, fingerprint: str, c: float, **extras: Any) -> str:
     return "|".join(parts)
 
 
-class LatencyReservoir:
-    """Bounded reservoir sample of latencies with p50/p95/p99 read-out.
-
-    Mean latency counters (``hit_seconds`` / ``miss_seconds``) hide tail
-    behavior, which is what a serving SLO is written against.  This keeps a
-    classic Vitter reservoir (uniform over all observations, O(capacity)
-    memory) with a *seeded* RNG, so two runs observing the same latency
-    stream report the same percentiles.  Thread-safe; percentiles use the
-    nearest-rank rule on the current sample.
-    """
-
-    __slots__ = ("capacity", "count", "_sample", "_rng", "_lock")
-
-    def __init__(self, capacity: int = 512, seed: int = 0) -> None:
-        if capacity < 1:
-            raise PlanCacheError(f"reservoir capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.count = 0
-        self._sample: list[float] = []
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-
-    def add(self, seconds: float) -> None:
-        """Record one observation (reservoir-sampled beyond ``capacity``)."""
-        with self._lock:
-            self.count += 1
-            if len(self._sample) < self.capacity:
-                self._sample.append(float(seconds))
-            else:
-                slot = self._rng.randrange(self.count)
-                if slot < self.capacity:
-                    self._sample[slot] = float(seconds)
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (nearest rank); NaN with no observations."""
-        with self._lock:
-            sample = sorted(self._sample)
-        if not sample:
-            return math.nan
-        rank = max(1, math.ceil(q / 100.0 * len(sample)))
-        return sample[rank - 1]
-
-    def percentiles(self) -> dict[str, float]:
-        """The serving percentiles: ``{"p50": ..., "p95": ..., "p99": ...}``."""
-        return {f"p{q}": self.percentile(q) for q in (50, 95, 99)}
-
-    def as_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"count": self.count}
-        d.update(self.percentiles())
-        return d
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LatencyReservoir(count={self.count}, capacity={self.capacity})"
-
-
 @dataclass
 class CacheStats:
-    """Hit / miss / latency counters for one :class:`PlanCache`."""
+    """Hit / miss / time counters for one :class:`PlanCache`."""
 
     hits: int = 0  #: memory-tier hits
     disk_hits: int = 0  #: disk-tier hits (promoted to memory)
@@ -158,9 +104,6 @@ class CacheStats:
     hit_seconds: float = 0.0  #: time spent serving hits (both tiers)
     miss_seconds: float = 0.0  #: time spent computing misses
     uncacheable: int = 0  #: lookups skipped (e.g. unfingerprintable p)
-    extra: dict = field(default_factory=dict)
-    #: Per-lookup latency reservoir (p50/p95/p99 across hits *and* misses).
-    latency: LatencyReservoir = field(default_factory=LatencyReservoir)
 
     @property
     def lookups(self) -> int:
@@ -184,7 +127,6 @@ class CacheStats:
             "hit_rate": self.hit_rate,
             "hit_seconds": self.hit_seconds,
             "miss_seconds": self.miss_seconds,
-            "latency": self.latency.as_dict(),
         }
 
 
@@ -268,34 +210,12 @@ class PlanCache:
             self.stats.uncacheable += 1
             return compute()
         start = time.perf_counter()
-        with self._lock:
-            if key in self._mem:
-                self._mem.move_to_end(key)
-                value = self._mem[key]
-                self.stats.hits += 1
-                elapsed = time.perf_counter() - start
-                self.stats.hit_seconds += elapsed
-                self.stats.latency.add(elapsed)
-                return value
-        if from_payload is not None:
-            payload = self._disk_read(key)
-            if payload is not None:
-                try:
-                    value = from_payload(payload)
-                except (CycleStealingError, KeyError, TypeError, ValueError):
-                    self.stats.corrupt_loads += 1
-                else:
-                    self._mem_put(key, value)
-                    self.stats.disk_hits += 1
-                    elapsed = time.perf_counter() - start
-                    self.stats.hit_seconds += elapsed
-                    self.stats.latency.add(elapsed)
-                    return value
+        value = self._lookup(key, from_payload, start)
+        if value is not _MISS:
+            return value
         value = compute()
         self.stats.misses += 1
-        elapsed = time.perf_counter() - start
-        self.stats.miss_seconds += elapsed
-        self.stats.latency.add(elapsed)
+        self.stats.miss_seconds += time.perf_counter() - start
         self._mem_put(key, value)
         if to_payload is not None:
             try:
@@ -319,15 +239,26 @@ class PlanCache:
         if key is None:
             self.stats.uncacheable += 1
             return None
-        start = time.perf_counter()
+        value = self._lookup(key, from_payload, time.perf_counter())
+        return None if value is _MISS else value
+
+    def _lookup(
+        self,
+        key: str,
+        from_payload: Optional[Callable[[dict], Any]],
+        start: float,
+    ) -> Any:
+        """The one hit path: memory, then disk (promoted); ``_MISS`` if neither.
+
+        Counts ``hits`` / ``disk_hits`` and the hit's time since ``start``; a
+        miss is counted by the caller, if at all.
+        """
         with self._lock:
             if key in self._mem:
                 self._mem.move_to_end(key)
                 value = self._mem[key]
                 self.stats.hits += 1
-                elapsed = time.perf_counter() - start
-                self.stats.hit_seconds += elapsed
-                self.stats.latency.add(elapsed)
+                self.stats.hit_seconds += time.perf_counter() - start
                 return value
         if from_payload is not None:
             payload = self._disk_read(key)
@@ -339,11 +270,9 @@ class PlanCache:
                 else:
                     self._mem_put(key, value)
                     self.stats.disk_hits += 1
-                    elapsed = time.perf_counter() - start
-                    self.stats.hit_seconds += elapsed
-                    self.stats.latency.add(elapsed)
+                    self.stats.hit_seconds += time.perf_counter() - start
                     return value
-        return None
+        return _MISS
 
     def _mem_put(self, key: str, value: Any) -> None:
         with self._lock:

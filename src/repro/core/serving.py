@@ -10,8 +10,8 @@ which need nothing but arithmetic.  :class:`PlanServer` formalizes that chain
     table  →  warm cache  →  optimizer  →  guideline closed-form
 
 with per-tier *circuit breakers* (a tier that keeps erroring is skipped for a
-cooldown, then probed half-open) and per-tier latency / outcome counters
-(:class:`TierStats`, extending :class:`~repro.core.plancache.CacheStats`).
+cooldown, then probed half-open) and per-tier outcome and time counters
+(:class:`TierStats`).
 
 Two kinds of non-answers are deliberately distinct:
 
@@ -37,7 +37,7 @@ import threading
 import time
 import zlib
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -49,7 +49,7 @@ from ..exceptions import (
 )
 from .life_functions import LifeFunction
 from .optimizer import optimize_t0_via_recurrence
-from .plancache import CacheStats, PlanCache, plan_key
+from .plancache import PlanCache, plan_key
 from .recurrence import generate_schedule
 from .schedule import Schedule
 from .t0_bounds import (
@@ -171,28 +171,26 @@ class CircuitBreaker:
 
 
 @dataclass
-class TierStats(CacheStats):
-    """Per-tier serving counters: :class:`CacheStats` plus error accounting.
+class TierStats:
+    """Per-tier serving counters, as :meth:`PlanServer._record` books them.
 
-    For a serving tier the inherited fields read as: ``hits`` — queries this
-    tier answered; ``misses`` — healthy fall-throughs (cold cache, absent
-    table); ``hit_seconds`` / ``miss_seconds`` — time spent on each.  The
-    extensions count the unhealthy paths.
+    ``hits`` — queries this tier answered; ``misses`` — healthy
+    fall-throughs (cold cache, absent table); ``errors`` — the tier raised;
+    ``rejected`` — requests an open breaker short-circuited; and the time
+    spent on hits, misses and errors.
     """
 
+    hits: int = 0
+    misses: int = 0
     errors: int = 0  #: tier raised (injected fault or unexpected exception)
     rejected: int = 0  #: requests short-circuited by an open breaker
+    hit_seconds: float = 0.0
+    miss_seconds: float = 0.0
     error_seconds: float = 0.0  #: time spent inside failing tier calls
 
     def as_dict(self) -> dict[str, Any]:
         """All counters, JSON-ready."""
-        out = super().as_dict()
-        out.update(
-            errors=self.errors,
-            rejected=self.rejected,
-            error_seconds=self.error_seconds,
-        )
-        return out
+        return asdict(self)
 
 
 class TierChaos:

@@ -296,7 +296,7 @@ def build_shard_server(config: ShardConfig) -> PlanServer:
     if config.table_dir is not None:
         from ..analysis.tables_precompute import TableServer  # deferred: analysis imports core
 
-        table_server = TableServer(cache_dir=config.table_dir, cache=cache)
+        table_server = TableServer(cache_dir=config.table_dir)
     chaos = None
     if config.chaos_rates:
         chaos = TierChaos(config.chaos_rates, seed=config.chaos_seed, shard=config.shard)

@@ -12,6 +12,7 @@ from repro.analysis.tables_precompute import (
     TABLE_FAMILIES,
     TABLE_SCHEMA_VERSION,
     GuidelineTable,
+    PlanAnswer,
     TableServer,
     default_grids,
     load_table,
@@ -24,7 +25,7 @@ from repro.core.optimizer import optimize_t0_via_recurrence
 from repro.core.plancache import PlanCache
 from repro.core.serving import PlanServer
 from repro.core.sharding import ShardConfig, build_shard_server
-from repro.exceptions import PlanCacheError
+from repro.exceptions import CycleStealingError, PlanCacheError
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,18 @@ MALFORMED = {
         t, param_grid=np.where(np.arange(5) == 2, np.nan, t.param_grid)),
     "num_periods shape": lambda t: replace(t, num_periods=t.num_periods[:, :4]),
 }
+
+
+def _chain(table_server: TableServer, cache: PlanCache | None = None) -> PlanServer:
+    """The fallback chain over ``table_server``, with a cold plan cache."""
+    return PlanServer(table_server=table_server,
+                      cache=cache if cache is not None else PlanCache())
+
+
+def _memory_server(table: GuidelineTable) -> TableServer:
+    server = TableServer()
+    server.add_table(table)
+    return server
 
 
 class TestPrecompute:
@@ -181,55 +194,59 @@ class TestPersistence:
     def test_malformed_table_falls_back_to_optimizer(self, uniform_table, tmp_path,
                                                      case):
         save_table(MALFORMED[case](uniform_table), table_path(tmp_path, "uniform"))
-        server = TableServer(cache_dir=tmp_path, cache=PlanCache())
-        assert server.query("uniform", 1.0, 100.0).source == "optimizer"
-        assert server.query("uniform", 2.0, 100.0).source == "optimizer"
+        server = _chain(TableServer(cache_dir=tmp_path))
+        assert server.serve("uniform", 1.0, 100.0).source == "optimizer"
+        assert server.serve("uniform", 2.0, 100.0).source == "optimizer"
 
 
 class TestServer:
     def test_off_grid_query_accuracy(self, uniform_table):
-        server = TableServer()
-        server.add_table(uniform_table)
+        server = _chain(_memory_server(uniform_table))
         rng = np.random.default_rng(7)
         for _ in range(4):
             c = float(rng.uniform(1.1, 3.8))
             L = float(rng.uniform(90.0, 600.0))
-            answer = server.query("uniform", c, L)
+            answer = server.serve("uniform", c, L)
             assert answer.source == "table"
             p = make_family_life("uniform", L)
             _, _, ew = optimize_t0_via_recurrence(p, c)
             assert answer.expected_work == pytest.approx(ew, rel=1e-6)
             assert answer.schedule.num_periods >= 1
-        assert server.counters["table"] == 4
-        assert server.counters["optimizer"] == 0
+        assert server.tier_stats["table"].hits == 4
+        assert server.tier_stats["optimizer"].hits == 0
 
     def test_out_of_bounds_falls_back_to_optimizer(self, uniform_table):
-        server = TableServer()
-        server.add_table(uniform_table)
-        answer = server.query("uniform", 20.0, 5000.0)
+        server = _chain(_memory_server(uniform_table))
+        answer = server.serve("uniform", 20.0, 5000.0)
         assert answer.source == "optimizer"
         p = make_family_life("uniform", 5000.0)
         _, _, ew = optimize_t0_via_recurrence(p, 20.0)
         assert answer.expected_work == pytest.approx(ew, rel=1e-12)
+        # The optimizer warmed the plan cache: the repeat is a cache hit.
+        again = server.serve("uniform", 20.0, 5000.0)
+        assert again.source == "cache"
+        assert plans_identical(replace(again, source="optimizer"), answer)
 
     def test_no_table_falls_back(self, tmp_path):
-        server = TableServer(cache_dir=tmp_path)  # nothing warmed
-        answer = server.query("geomdec", 0.5, 1.3)
+        server = _chain(TableServer(cache_dir=tmp_path))  # nothing warmed
+        answer = server.serve("geomdec", 0.5, 1.3)
         assert answer.source == "optimizer"
+        (lane,) = server.table_server.serve_from_table_batch(["geomdec"], [0.5], [1.3])
+        assert isinstance(lane, CycleStealingError)
 
     def test_corrupt_table_on_disk_falls_back(self, uniform_table, tmp_path):
         path = table_path(tmp_path, "uniform")
         save_table(uniform_table, path)
         path.write_bytes(b"junk")
-        server = TableServer(cache_dir=tmp_path)
-        answer = server.query("uniform", 2.0, 100.0)
+        server = _chain(TableServer(cache_dir=tmp_path))
+        answer = server.serve("uniform", 2.0, 100.0)
         assert answer.source == "optimizer"
 
     def test_table_of_another_family_falls_back(self, uniform_table, tmp_path):
         save_table(uniform_table, table_path(tmp_path, "geominc"))
-        server = TableServer(cache_dir=tmp_path, cache=PlanCache())
-        assert server.table("geominc") is None
-        assert server.query("geominc", 2.0, 100.0).source == "optimizer"
+        table_server = TableServer(cache_dir=tmp_path)
+        assert table_server.table("geominc") is None
+        assert _chain(table_server).serve("geominc", 2.0, 100.0).source == "optimizer"
 
     def test_warm_persists_and_reloads(self, tmp_path):
         grids = {"geominc": (np.geomspace(0.5, 2.0, 3), np.geomspace(15.0, 60.0, 3))}
@@ -238,18 +255,20 @@ class TestServer:
         assert set(built) == {"geominc"}
         assert table_path(tmp_path, "geominc").exists()
         fresh = TableServer(cache_dir=tmp_path)
-        answer = fresh.query("geominc", 1.0, 30.0)
+        (answer,) = fresh.serve_from_table_batch(["geominc"], [1.0], [30.0])
         assert answer.source == "table"
 
     def test_no_polish_query(self, uniform_table):
-        server = TableServer()
-        server.add_table(uniform_table)
-        answer = server.query("uniform", 2.1, 111.0, polish=False)
+        server = _memory_server(uniform_table)
+        (answer,) = server.serve_from_table_batch(["uniform"], [2.1], [111.0],
+                                                  polish=False)
         assert answer.source == "table"
         p = make_family_life("uniform", 111.0)
         _, _, ew = optimize_t0_via_recurrence(p, 2.1)
         # Raw bilinear t0 (no polish): still close, though not 1e-6 tight.
         assert answer.expected_work == pytest.approx(ew, rel=1e-2)
+        (polished,) = server.serve_from_table_batch(["uniform"], [2.1], [111.0])
+        assert polished.expected_work >= answer.expected_work
 
     def test_all_families_declared(self):
         assert set(TABLE_FAMILIES) == {"uniform", "poly", "geomdec", "geominc"}
@@ -275,35 +294,37 @@ class TestBatchQueries:
         )
 
     def test_query_batch_matches_scalar_loop(self, uniform_table):
-        """Mixed on-grid / off-grid / out-of-bounds: bit-identical answers."""
+        """Mixed on-grid / off-grid / out-of-bounds: bit-identical lanes."""
         queries = [
             (float(uniform_table.c_grid[2]), float(uniform_table.param_grid[1])),
             (2.3, 199.0),
-            (20.0, 5000.0),  # out of bounds -> optimizer fallback
+            (20.0, 5000.0),  # out of bounds -> a per-lane miss
             (1.7, 333.3),
             (3.9, 91.0),
         ]
-        batch_server = TableServer()
-        batch_server.add_table(uniform_table)
-        batch = batch_server.query_batch(
+        batch = _memory_server(uniform_table).serve_from_table_batch(
             ["uniform"] * len(queries),
             [q[0] for q in queries],
             [q[1] for q in queries],
         )
-        scalar_server = TableServer()
-        scalar_server.add_table(uniform_table)
-        scalar = [scalar_server.query("uniform", c, v) for c, v in queries]
+        scalar_server = _memory_server(uniform_table)
+        scalar = [
+            scalar_server.serve_from_table_batch(["uniform"], [c], [v])[0]
+            for c, v in queries
+        ]
         assert len(batch) == len(queries)
+        assert [type(a) for a in batch] == [type(b) for b in scalar]
         for a, b in zip(batch, scalar):
-            assert self._answers_equal(a, b)
-        for key in ("table", "optimizer"):
-            assert batch_server.counters[key] == scalar_server.counters[key]
+            if isinstance(a, PlanAnswer):
+                assert self._answers_equal(a, b)
+            else:
+                assert isinstance(a, CycleStealingError) and str(a) == str(b)
+        assert [isinstance(a, PlanAnswer) for a in batch] == [True] * 2 + [False] + [True] * 2
 
     def test_query_batch_groups_families(self, uniform_table):
         """A mixed-family batch answers each lane from its own table."""
-        server = TableServer()
-        server.add_table(uniform_table)
-        answers = server.query_batch(
+        server = _chain(_memory_server(uniform_table))
+        answers = server.serve_batch(
             ["uniform", "geomdec", "uniform"],
             [2.0, 0.5, 2.5],
             [150.0, 1.3, 200.0],
@@ -312,14 +333,15 @@ class TestBatchQueries:
         assert [a.family for a in answers] == ["uniform", "geomdec", "uniform"]
 
     def test_query_batch_rejects_mismatched_lengths(self, uniform_table):
-        server = TableServer()
-        server.add_table(uniform_table)
+        server = _memory_server(uniform_table)
         with pytest.raises(PlanCacheError):
-            server.query_batch(["uniform"], [1.0, 2.0], [100.0])
+            server.serve_from_table_batch(["uniform"], [1.0, 2.0], [100.0])
 
     def test_query_batch_unknown_family(self):
+        (lane,) = TableServer().serve_from_table_batch(["nope"], [1.0], [100.0])
+        assert isinstance(lane, CycleStealingError)
         with pytest.raises(PlanCacheError, match="unknown table family"):
-            TableServer().query_batch(["nope"], [1.0], [100.0])
+            _chain(TableServer()).serve("nope", 1.0, 100.0)
 
     def test_interpolate_t0_batch_matches_scalar(self, uniform_table):
         cs = np.array([1.5, 2.5, 3.5])
@@ -349,26 +371,14 @@ class TestMmapTables:
               np.sqrt(p_grid[0] * p_grid[1]), p_grid[-1] * 1.1]
         fams = [family] * len(cs)
 
-        memory = TableServer(cache=PlanCache())
-        memory.add_table(table)
-        loaded = TableServer(cache_dir=tmp_path, cache=PlanCache())
-        expected = memory.query_batch(fams, cs, vs)
-        got = loaded.query_batch(fams, cs, vs)
-        assert [a.source for a in got] == ["table"] * 3 + ["optimizer"]
-        assert all(plans_identical(a, b) for a, b in zip(got, expected))
-
-        cache = PlanCache()
-        reference = TableServer(cache=cache)
-        reference.add_table(table)
-        expected = PlanServer(table_server=reference, cache=cache).serve_batch(
-            fams, cs, vs
-        )
+        expected = _chain(_memory_server(table)).serve_batch(fams, cs, vs)
+        loaded = _chain(TableServer(cache_dir=tmp_path)).serve_batch(fams, cs, vs)
         shard = build_shard_server(
             ShardConfig(shard=0, n_shards=1, table_dir=str(tmp_path))
-        )
-        got = shard.serve_batch(fams, cs, vs)
-        assert [a.source for a in got] == ["table"] * 3 + ["optimizer"]
-        assert all(plans_identical(a, b) for a, b in zip(got, expected))
+        ).serve_batch(fams, cs, vs)
+        for got in (loaded, shard):
+            assert [a.source for a in got] == ["table"] * 3 + ["optimizer"]
+            assert all(plans_identical(a, b) for a, b in zip(got, expected))
 
     def test_compressed_npz_falls_back_to_memory_load(self, uniform_table, tmp_path):
         # A compressed archive holds the same arrays: it loads like a stored one.
@@ -385,25 +395,24 @@ class TestMmapTables:
 class TestFallbackCache:
     def test_off_grid_fallback_rides_the_cache(self, uniform_table, tmp_path):
         """Out-of-bounds queries warm the plan cache instead of re-optimizing."""
-        server = TableServer(cache_dir=tmp_path)
-        server.add_table(uniform_table)
-        assert server.cache is not None  # auto-created over cache_dir
-        first = server.query("uniform", 20.0, 5000.0)
+        cache = PlanCache(cache_dir=tmp_path)
+        server = _chain(_memory_server(uniform_table), cache)
+        first = server.serve("uniform", 20.0, 5000.0)
         assert first.source == "optimizer"
-        misses_after_first = server.cache.stats.misses
-        hits_after_first = server.cache.stats.hits
-        second = server.query("uniform", 20.0, 5000.0)
-        assert second.source == "optimizer"
-        assert server.cache.stats.hits > hits_after_first
-        assert server.cache.stats.misses == misses_after_first
-        assert second.t0 == first.t0
-        assert second.expected_work == first.expected_work
-        assert np.array_equal(second.schedule.periods, first.schedule.periods)
-
-    def test_explicit_cache_not_replaced(self, uniform_table, tmp_path):
-        cache = PlanCache()
-        server = TableServer(cache_dir=tmp_path, cache=cache)
-        assert server.cache is cache
+        misses_after_first = cache.stats.misses
+        hits_after_first = cache.stats.hits
+        second = server.serve("uniform", 20.0, 5000.0)
+        assert second.source == "cache"
+        assert cache.stats.hits > hits_after_first
+        assert cache.stats.misses == misses_after_first
+        assert plans_identical(replace(second, source="optimizer"), first)
+        # A fresh chain over the same directory serves it from the disk tier.
+        fresh_cache = PlanCache(cache_dir=tmp_path)
+        third = _chain(_memory_server(uniform_table), fresh_cache).serve(
+            "uniform", 20.0, 5000.0)
+        assert third.source == "cache"
+        assert (fresh_cache.stats.disk_hits, fresh_cache.stats.misses) == (1, 0)
+        assert plans_identical(third, second)
 
 
 class TestHeldOutAccuracy:
@@ -421,11 +430,11 @@ class TestHeldOutAccuracy:
     def rel_error(family: str, c: float, v: float) -> float:
         c_grid, p_grid = default_grids(family, points=9)
         i, j = np.searchsorted(c_grid, c) - 1, np.searchsorted(p_grid, v) - 1
-        server = TableServer()
-        server.add_table(precompute_table(family, c_grid=c_grid[i:i + 2],
-                                          param_grid=p_grid[j:j + 2]))
-        answer = server.query(family, c, v)
-        assert answer.source == "table"
+        server = _memory_server(precompute_table(family, c_grid=c_grid[i:i + 2],
+                                                 param_grid=p_grid[j:j + 2]))
+        # The point lies inside the table: anything but a plan is a failure.
+        (answer,) = server.serve_from_table_batch([family], [c], [v])
+        assert isinstance(answer, PlanAnswer), answer
         p = make_family_life(family, v, dict(TABLE_FAMILIES[family][1]))
         _, _, ew = optimize_t0_via_recurrence(p, c)
         return abs(answer.expected_work - ew) / abs(ew)

@@ -30,21 +30,20 @@ def warmed_table_dir(tmp_path_factory) -> dict:
     Warmed **once** per test session and shared by every batched-serving
     and multiprocess-sharding test — worker processes load the same npz
     files, so re-precomputing per test would dominate the suite's runtime.
-    Consumers must open it read-only (``TableServer(cache_dir=...,
-    cache=PlanCache())``) and never write through it.
+    Consumers must open it read-only (``TableServer(cache_dir=...)``, which
+    only reads tables) and never write through it.
 
     Returns a dict: ``dir`` (Path), ``families``, ``grids`` (the exact
     per-family ``(c_grid, param_grid)`` arrays warmed), ``search_grid``.
     """
     from repro.analysis.tables_precompute import TableServer, default_grids
-    from repro.core.plancache import PlanCache
 
     path = tmp_path_factory.mktemp("guideline-tables")
     grids = {
         fam: default_grids(fam, points=TABLE_FIXTURE_GRID_POINTS)
         for fam in TABLE_FIXTURE_FAMILIES
     }
-    server = TableServer(cache_dir=path, cache=PlanCache())
+    server = TableServer(cache_dir=path)
     server.warm(
         families=list(TABLE_FIXTURE_FAMILIES),
         grids=grids,

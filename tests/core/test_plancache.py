@@ -360,57 +360,83 @@ class TestUnwritableCacheDir:
             reset_default_plan_cache()
 
 
-class TestLatencyReservoir:
-    def test_exact_percentiles_small_sample(self):
-        from repro.core.plancache import LatencyReservoir
+def _counts(cache: PlanCache) -> dict:
+    """Every integer counter of ``cache.stats``."""
+    d = cache.stats.as_dict()
+    return {k: v for k, v in d.items() if isinstance(v, int)}
 
-        res = LatencyReservoir(capacity=16)
-        for v in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]:
-            res.add(v)
-        p = res.percentiles()
-        # Nearest-rank on 10 samples: p50 -> 5th, p95 -> 10th, p99 -> 10th.
-        assert p["p50"] == 5.0
-        assert p["p95"] == 10.0
-        assert p["p99"] == 10.0
-        assert res.count == 10
 
-    def test_empty_reservoir_is_nan(self):
-        from repro.core.plancache import LatencyReservoir
+def _zero(**counts) -> dict:
+    base = dict.fromkeys(("hits", "disk_hits", "misses", "puts", "evictions",
+                          "corrupt_loads", "uncacheable"), 0)
+    return {**base, **counts}
 
-        p = LatencyReservoir().percentiles()
-        assert all(v != v for v in p.values())  # NaN
 
-    def test_reservoir_bounds_memory_but_keeps_counting(self):
-        from repro.core.plancache import LatencyReservoir
+def _json_cache(path) -> PlanCache:
+    """A disk-tier cache holding ``"key" -> {"x": 7}``, written by a miss."""
+    warm = PlanCache(cache_dir=path)
+    warm.get_or_compute("key", lambda: {"x": 7},
+                        to_payload=lambda v: v, from_payload=lambda d: d)
+    return PlanCache(cache_dir=path)
 
-        res = LatencyReservoir(capacity=8, seed=3)
-        for v in range(1000):
-            res.add(float(v))
-        assert res.count == 1000
-        assert len(res._sample) == 8
-        p = res.percentiles()
-        assert 0.0 <= p["p50"] <= 999.0
 
-    def test_deterministic_given_seed(self):
-        from repro.core.plancache import LatencyReservoir
+class TestCounters:
+    """``get_or_compute`` and ``peek`` share one hit path and its counters."""
 
-        a, b = LatencyReservoir(capacity=4, seed=9), LatencyReservoir(capacity=4, seed=9)
-        for v in range(100):
-            a.add(float(v))
-            b.add(float(v))
-        assert a.percentiles() == b.percentiles()
-
-    def test_invalid_capacity(self):
-        from repro.core.plancache import LatencyReservoir
-        from repro.exceptions import PlanCacheError
-
-        with pytest.raises(PlanCacheError):
-            LatencyReservoir(capacity=0)
-
-    def test_cache_stats_record_latency(self):
+    def test_miss_then_memory_hit(self):
         cache = PlanCache()
-        cache.get_or_compute("k", lambda: 1)
-        cache.get_or_compute("k", lambda: 1)
-        assert cache.stats.latency.count == 2
-        assert "latency" in cache.stats.as_dict()
-        assert cache.stats.as_dict()["latency"]["count"] == 2
+        calls = []
+        assert cache.get_or_compute("k", lambda: calls.append(1) or 5) == 5
+        assert _counts(cache) == _zero(misses=1, puts=1)
+        assert cache.stats.miss_seconds > 0 and cache.stats.hit_seconds == 0
+        assert cache.get_or_compute("k", lambda: calls.append(1) or 6) == 5
+        assert cache.peek("k") == 5
+        assert _counts(cache) == _zero(hits=2, misses=1, puts=1)
+        assert cache.stats.hit_seconds > 0
+        assert calls == [1]
+
+    def test_cached_none_is_a_hit(self):
+        cache = PlanCache()
+        calls = []
+        assert cache.get_or_compute("k", lambda: calls.append(1)) is None
+        assert cache.get_or_compute("k", lambda: calls.append(1)) is None
+        assert calls == [1]
+        assert _counts(cache) == _zero(hits=1, misses=1, puts=1)
+
+    def test_disk_hit_get_or_compute(self, tmp_path):
+        fresh = _json_cache(tmp_path)
+        value = fresh.get_or_compute("key", lambda: pytest.fail("recomputed"),
+                                     to_payload=lambda v: v, from_payload=lambda d: d)
+        assert value == {"x": 7}
+        assert _counts(fresh) == _zero(disk_hits=1, puts=1)
+        assert fresh.stats.hit_seconds > 0 and fresh.stats.miss_seconds == 0
+
+    def test_disk_hit_peek(self, tmp_path):
+        fresh = _json_cache(tmp_path)
+        assert fresh.peek("key", from_payload=lambda d: d) == {"x": 7}
+        assert _counts(fresh) == _zero(disk_hits=1, puts=1)
+        assert fresh.stats.hit_seconds > 0 and fresh.stats.miss_seconds == 0
+        # Promoted: the next lookup is a memory hit.
+        assert fresh.peek("key", from_payload=lambda d: d) == {"x": 7}
+        assert _counts(fresh) == _zero(hits=1, disk_hits=1, puts=1)
+
+    def test_peek_miss_counts_nothing(self, tmp_path):
+        cache = PlanCache(cache_dir=tmp_path)
+        assert cache.peek("absent", from_payload=lambda d: d) is None
+        assert _counts(cache) == _zero()
+        assert cache.stats.hit_seconds == 0 and cache.stats.miss_seconds == 0
+
+    def test_none_key_counts_uncacheable_once(self):
+        cache = PlanCache()
+        assert cache.get_or_compute(None, lambda: 3) == 3
+        assert _counts(cache) == _zero(uncacheable=1)
+        assert cache.peek(None) is None
+        assert _counts(cache) == _zero(uncacheable=2)
+        assert len(cache) == 0
+        assert cache.stats.hit_seconds == 0 and cache.stats.miss_seconds == 0
+
+    def test_stats_fields(self):
+        assert set(CacheStats().as_dict()) == {
+            "hits", "disk_hits", "misses", "puts", "evictions", "corrupt_loads",
+            "uncacheable", "hit_rate", "hit_seconds", "miss_seconds",
+        }

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.analysis.loadgen import plans_identical
 from repro.core.life_functions import UniformRisk
-from repro.core.plancache import PlanCache
+from repro.core.plancache import CacheStats, PlanCache
 from repro.core.serving import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -75,13 +77,43 @@ class TestCircuitBreaker:
         assert d["opens"] == 1 and d["consecutive_failures"] == 1
 
 
+#: The counters PlanServer._record / _tier_pass write, and nothing else.
+TIER_FIELDS = ("hits", "misses", "errors", "rejected",
+               "hit_seconds", "miss_seconds", "error_seconds")
+
+
 class TestTierStatsAndChaos:
-    def test_tier_stats_extends_cache_stats(self):
+    def test_tier_stats_as_dict(self):
         stats = TierStats(hits=2, misses=1, errors=3, rejected=4)
         d = stats.as_dict()
         assert d["hits"] == 2 and d["misses"] == 1
         assert d["errors"] == 3 and d["rejected"] == 4
-        assert "error_seconds" in d
+        assert d["error_seconds"] == 0.0
+
+    def test_tier_stats_fields(self):
+        assert tuple(f.name for f in fields(TierStats)) == TIER_FIELDS
+        assert not issubclass(TierStats, CacheStats)
+        assert tuple(TierStats().as_dict()) == TIER_FIELDS
+
+    def test_every_tier_field_is_written(self):
+        """Each counter moves on some serve: none is dead weight."""
+        server = PlanServer(cache=PlanCache(maxsize=16), clock=_Clock(),
+                            breaker_threshold=1)
+        server.serve("uniform", 1.0, 30.0)  # table miss, cache miss, optimizer hit
+        server.serve("uniform", 1.0, 30.0)  # cache hit
+        server.chaos = TierChaos({"cache": 1.0}, seed=0)
+        server.serve("uniform", 1.0, 31.0)  # cache error opens its breaker ...
+        server.serve("uniform", 1.0, 32.0)  # ... which rejects the next query
+        touched = {
+            name
+            for stats in server.tier_stats.values()
+            for name, value in stats.as_dict().items()
+            if value
+        }
+        assert touched == set(TIER_FIELDS)
+        assert server.tier_stats["cache"].rejected == 1
+        for tier in PlanServer.TIERS:
+            assert tuple(server.stats_dict()["tiers"][tier]) == TIER_FIELDS
 
     def test_chaos_validation(self):
         with pytest.raises(ValueError):

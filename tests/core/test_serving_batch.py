@@ -99,8 +99,8 @@ class TestServeBatchParity:
         ]
 
         def build():
-            ts = TableServer(cache_dir=warmed_table_dir["dir"], cache=PlanCache())
-            return PlanServer(table_server=ts, cache=ts.cache)
+            ts = TableServer(cache_dir=warmed_table_dir["dir"])
+            return PlanServer(table_server=ts, cache=PlanCache())
 
         batch = build().serve_batch(*map(list, zip(*queries)))
         scalar_server = build()

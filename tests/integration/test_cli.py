@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main, make_life_function
+from repro.core.plancache import reset_default_plan_cache
 
 
 class TestParsing:
@@ -194,6 +195,31 @@ class TestPlanCacheCommand:
         assert status == 0
         assert "source        : optimizer" in capsys.readouterr().out
 
+    def test_off_table_repeat_is_served_from_the_disk_cache(self, tmp_path, capsys):
+        query = ["plancache", "query", "--family", "uniform", "--c", "2.0",
+                 "--value", "5000", "--cache-dir", str(tmp_path)]
+        reset_default_plan_cache()
+        try:
+            assert main(query) == 0
+            assert "source        : optimizer" in capsys.readouterr().out
+            reset_default_plan_cache()  # a new process: only the disk tier is warm
+            assert main(query) == 0
+            assert "source        : cache" in capsys.readouterr().out
+        finally:
+            reset_default_plan_cache()
+
+    @pytest.mark.parametrize("c, value, reason", [
+        ("500", "100", "every serving tier failed"),  # overhead above the lifespan
+        ("2", "-5", "lifespan must be positive"),     # invalid family parameter
+    ])
+    def test_unservable_query_exits_with_one_line(self, tmp_path, c, value, reason):
+        with pytest.raises(SystemExit) as exc:
+            main(["plancache", "query", "--family", "uniform", "--c", c,
+                  "--value", value, "--cache-dir", str(tmp_path)])
+        message = exc.value.code
+        assert isinstance(message, str)  # exit status 1, message on stderr
+        assert reason in message and "\n" not in message
+
     def test_warm_bad_grid_points(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["plancache", "warm", "--family", "uniform",
@@ -313,10 +339,12 @@ class TestServebenchCommand:
         assert status == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_plancache_stats_show_latency(self, tmp_path, capsys):
+    def test_plancache_stats_print_no_nan(self, tmp_path, capsys):
         status = main(["plancache", "stats", "--cache-dir", str(tmp_path)])
         assert status == 0
-        assert "latency" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "disk entries" in out
+        assert "nan" not in out.lower()
 
 
 class TestFleetCommand:
