@@ -21,20 +21,20 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.simulation import simulate_episodes
+from repro.simulation import simulate_episodes_scalar, simulate_episodes_vectorized
 from repro.simulation.testing import assert_exact_parity, differential_schedule_check
 
 N_EPISODES = 100_000
 SEED = 19980330
 
 
-def _time_engine(engine: str, schedule, p, c: float, n: int, repeats: int) -> float:
-    """Median wall-clock seconds for one n-episode batch on the engine."""
+def _time_engine(simulate, schedule, p, c: float, n: int, repeats: int) -> float:
+    """Median wall-clock seconds for one n-episode batch of ``simulate``."""
     times = []
     for rep in range(repeats):
         rng = np.random.default_rng(SEED + rep)
         start = time.perf_counter()
-        simulate_episodes(schedule, p, c, n, rng, engine=engine)
+        simulate(schedule, p, c, n, rng)
         times.append(time.perf_counter() - start)
     return float(np.median(times))
 
@@ -48,8 +48,8 @@ def measure(n: int = N_EPISODES, repeats: int = 3) -> dict:
         schedule, p, c, n=min(n, 20_000), seed=SEED, label="speedup-parity"
     )
     assert_exact_parity(report)
-    scalar_s = _time_engine("scalar", schedule, p, c, n, repeats)
-    vector_s = _time_engine("vectorized", schedule, p, c, n, repeats)
+    scalar_s = _time_engine(simulate_episodes_scalar, schedule, p, c, n, repeats)
+    vector_s = _time_engine(simulate_episodes_vectorized, schedule, p, c, n, repeats)
     return {
         "n_episodes": n,
         "schedule_periods": schedule.num_periods,
@@ -75,7 +75,7 @@ def test_engine_speedup(rng, benchmark):
 
     p = repro.UniformRisk(200.0)
     sched = repro.guideline_schedule(p, 2.0, grid=17).schedule
-    benchmark(lambda: simulate_episodes(sched, p, 2.0, N_EPISODES, rng).mean_work)
+    benchmark(lambda: simulate_episodes_vectorized(sched, p, 2.0, N_EPISODES, rng).mean_work)
 
 
 def main(argv: list[str]) -> int:

@@ -4,33 +4,12 @@ Each bench file reproduces one experiment from DESIGN.md's index: it computes
 the full comparison table, prints it (visible with ``-s`` or in the captured
 output), asserts the paper's qualitative shape, and times a representative
 kernel with pytest-benchmark.
-
-Monte-Carlo benches honour ``--mc-engine {vectorized,scalar}`` (default
-``vectorized``) so the same reproduction tables can be regenerated on the
-reference engine, e.g.::
-
-    pytest benchmarks/bench_ev_montecarlo.py --mc-engine scalar -s
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-
-
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--mc-engine",
-        default="vectorized",
-        choices=["vectorized", "scalar"],
-        help="batch simulation engine for Monte-Carlo benches",
-    )
-
-
-@pytest.fixture
-def mc_engine(request: pytest.FixtureRequest) -> str:
-    """The engine the EV-MC benches run on (identical results either way)."""
-    return request.config.getoption("--mc-engine")
 
 
 @pytest.fixture

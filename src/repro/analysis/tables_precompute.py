@@ -86,6 +86,20 @@ def make_family_life(
     return make(family, param_value, int(dict(fixed or ()).get("d", 3.0)))
 
 
+def _default_fixed(family: str) -> tuple[tuple[str, float], ...]:
+    """``TABLE_FAMILIES``' fixed parameters in :attr:`GuidelineTable.fixed` form."""
+    return tuple(sorted((k, float(v)) for k, v in TABLE_FAMILIES[family][1].items()))
+
+
+def _serves_family(table: "GuidelineTable", family: str) -> bool:
+    """Whether ``table`` plans ``family`` with the serving chain's life function."""
+    return (
+        table.family == family
+        and family in TABLE_FAMILIES
+        and table.fixed == _default_fixed(family)
+    )
+
+
 def default_grids(family: str, points: int = 17) -> tuple[FloatArray, FloatArray]:
     """The default ``(c_grid, param_grid)`` for one family's table.
 
@@ -239,7 +253,6 @@ def _table_point(
     family: str,
     c: float,
     param_value: float,
-    fixed: Optional[dict] = None,
     search_grid: int = 129,
     search_widen: float = 1.5,
     cache_dir: Optional[str] = None,
@@ -250,7 +263,7 @@ def _table_point(
     across workers and re-runs), so re-warming a table is nearly free.
     """
     cache = default_plan_cache(cache_dir) if cache_dir else None
-    p = make_family_life(family, param_value, fixed)
+    p = make_family_life(family, param_value)
     try:
         t0, outcome, ew = optimize_t0_via_recurrence(
             p, c, grid=search_grid, widen=search_widen, cache=cache
@@ -264,7 +277,6 @@ def precompute_table(
     family: str,
     c_grid: Optional[FloatArray] = None,
     param_grid: Optional[FloatArray] = None,
-    fixed: Optional[Mapping[str, float]] = None,
     search_grid: int = 129,
     search_widen: float = 1.5,
     n_jobs: Optional[int] = None,
@@ -272,12 +284,13 @@ def precompute_table(
 ) -> GuidelineTable:
     """Sweep the ``(c, θ)`` grid once and assemble the guideline table.
 
-    ``n_jobs`` fans the sweep out over a process pool (see
+    The family's fixed parameters are ``TABLE_FAMILIES``' (``d = 3`` for
+    ``poly``), the life function every serving tier builds.  ``n_jobs`` fans
+    the sweep out over a process pool (see
     :func:`~repro.analysis.sweeps.run_sweep`); each point's ``t_0`` search
     rides the plan cache under ``cache_dir`` when one is given.
     """
-    param_name, default_fixed = TABLE_FAMILIES[family]
-    fixed = dict(fixed if fixed is not None else default_fixed)
+    param_name = TABLE_FAMILIES[family][0]
     if c_grid is None or param_grid is None:
         default_c, default_param = default_grids(family)
         c_grid = default_c if c_grid is None else c_grid
@@ -291,7 +304,6 @@ def precompute_table(
             "family": family,
             "c": float(c),
             "param_value": float(v),
-            "fixed": fixed,
             "search_grid": search_grid,
             "search_widen": search_widen,
             "cache_dir": str(cache_dir) if cache_dir is not None else None,
@@ -305,7 +317,7 @@ def precompute_table(
     return GuidelineTable(
         family=family,
         param_name=param_name,
-        fixed=tuple(sorted((k, float(v)) for k, v in fixed.items())),
+        fixed=_default_fixed(family),
         c_grid=c_grid,
         param_grid=param_grid,
         t0=rows[:, 0].reshape(shape),
@@ -424,19 +436,29 @@ class TableServer:
         self._tables: dict[str, Optional[GuidelineTable]] = {}
 
     def add_table(self, table: GuidelineTable) -> None:
-        """Register an in-memory table (used by tests and warm pipelines)."""
+        """Register an in-memory table (used by tests and warm pipelines).
+
+        Raises :class:`PlanCacheError` for a table whose fixed parameters are
+        not ``TABLE_FAMILIES``': the other tiers would serve another plan.
+        """
+        if not _serves_family(table, table.family):
+            raise PlanCacheError(
+                f"table for family {table.family!r} with fixed parameters "
+                f"{table.fixed} is not one of TABLE_FAMILIES' tables"
+            )
         self._tables[table.family] = table
 
     def table(self, family: str) -> Optional[GuidelineTable]:
         """The family's table, loading from ``cache_dir`` on first use.
 
-        A file that holds another family's table is no table for ``family``.
+        A file that holds another family's table, or the family with fixed
+        parameters other than ``TABLE_FAMILIES``', is no table for ``family``.
         """
         if family not in self._tables:
             loaded = None
             if self.cache_dir is not None:
                 loaded = load_table(table_path(self.cache_dir, family))
-            if loaded is not None and loaded.family != family:
+            if loaded is not None and not _serves_family(loaded, family):
                 loaded = None
             self._tables[family] = loaded
         return self._tables[family]

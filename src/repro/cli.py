@@ -13,12 +13,11 @@ Commands
     family, and print the best schedule for a given overhead.
 ``mc``
     Monte-Carlo validation of eq. (2.1): simulate episodes of the guideline
-    schedule on a chosen engine (``--engine vectorized|scalar``) and
-    compare the sample mean against the analytic expected work.
+    schedule and compare the sample mean against the analytic expected work.
 ``t0opt``
-    Optimize ``t_0`` over the Corollary 3.1 recurrence family on a chosen
-    search engine (``--engine batch|scalar``) and grid resolution,
-    printing the chosen ``t_0``, period count, and expected work.
+    Optimize ``t_0`` over the Corollary 3.1 recurrence family at a chosen
+    grid resolution, printing the chosen ``t_0``, period count, and
+    expected work.
 ``plancache``
     Manage the schedule plan cache and precomputed guideline tables:
     ``warm`` sweeps the per-family ``(c, parameter)`` grids and persists
@@ -167,17 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--n", type=int, default=100_000,
                       help="number of simulated episodes (default 100000)")
     p_mc.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p_mc.add_argument("--engine", default="vectorized",
-                      choices=["vectorized", "scalar"],
-                      help="batch simulation engine (default vectorized)")
     p_mc.add_argument("--confidence", type=float, default=0.95,
                       help="CI coverage probability (default 0.95)")
 
     p_t0 = sub.add_parser("t0opt", help="optimize t0 over the recurrence family")
     _add_family_args(p_t0)
-    p_t0.add_argument("--engine", default="batch",
-                      choices=["batch", "scalar"],
-                      help="recurrence search engine (default batch)")
     p_t0.add_argument("--grid", type=int, default=129,
                       help="t0 grid resolution over the bracket (default 129)")
     p_t0.add_argument("--widen", type=float, default=1.5,
@@ -394,13 +387,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     p = make_life_function(args)
     result = core.guideline_schedule(p, args.c)
     rng = np.random.default_rng(args.seed)
-    est = estimate_expected_work(
-        result.schedule, p, args.c, n=args.n, rng=rng, engine=args.engine
-    )
+    est = estimate_expected_work(result.schedule, p, args.c, n=args.n, rng=rng)
     z = abs(est.mean - result.expected_work) / max(est.stderr, 1e-15)
     lo, hi = est.ci(args.confidence)
     print(f"life function : {p!r}")
-    print(f"engine        : {args.engine}  (n = {args.n:,}, seed = {args.seed})")
+    print(f"episodes      : n = {args.n:,}, seed = {args.seed}")
     print(f"analytic E    : {result.expected_work:.6g}")
     print(f"MC mean       : {est.mean:.6g} ± {est.stderr:.3g}")
     print(f"{100 * args.confidence:.0f}% CI        : [{lo:.6g}, {hi:.6g}]")
@@ -414,11 +405,10 @@ def _cmd_t0opt(args: argparse.Namespace) -> int:
         raise SystemExit(f"--grid must be >= 2, got {args.grid}")
     p = make_life_function(args)
     t0, outcome, ew = core.optimize_t0_via_recurrence(
-        p, args.c, grid=args.grid, widen=args.widen, engine=args.engine,
-        cache=_make_cache(args),
+        p, args.c, grid=args.grid, widen=args.widen, cache=_make_cache(args),
     )
     print(f"life function : {p!r}")
-    print(f"engine        : {args.engine}  (grid = {args.grid}, widen = {args.widen})")
+    print(f"search        : grid = {args.grid}, widen = {args.widen}")
     print(f"t0 chosen     : {t0:.6g}")
     print(f"periods       : {outcome.schedule.num_periods}")
     print(f"termination   : {outcome.termination.value}")

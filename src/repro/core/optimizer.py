@@ -213,33 +213,27 @@ _GUIDELINE_START_MAX_PER_LIFE = 16
 
 
 def _guideline_start(
-    p: LifeFunction,
-    c: float,
-    cache: Optional[PlanCache] = None,
-    engine: str = "batch",
+    p: LifeFunction, c: float, cache: Optional[PlanCache] = None
 ) -> Optional[FloatArray]:
     """The recurrence-family schedule used to seed the NLP multi-starts."""
-    memo_key = (c, engine)
     with _guideline_start_lock:
         try:
             per_c = _guideline_start_cache.setdefault(p, OrderedDict())
         except TypeError:  # non-weakref-able life function: skip memoization
             per_c = OrderedDict()
-        if memo_key in per_c:
-            per_c.move_to_end(memo_key)
-            return per_c[memo_key]
+        if c in per_c:
+            per_c.move_to_end(c)
+            return per_c[c]
     # Compute outside the lock: the t0 search is the expensive part, and a
     # duplicated concurrent computation is idempotent.
     try:
-        _, outcome, _ = optimize_t0_via_recurrence(
-            p, c, grid=33, engine=engine, cache=cache
-        )
+        _, outcome, _ = optimize_t0_via_recurrence(p, c, grid=33, cache=cache)
         periods: Optional[FloatArray] = outcome.schedule.periods
     except Exception:
         periods = None
     with _guideline_start_lock:
-        per_c[memo_key] = periods
-        per_c.move_to_end(memo_key)
+        per_c[c] = periods
+        per_c.move_to_end(c)
         while len(per_c) > _GUIDELINE_START_MAX_PER_LIFE:
             per_c.popitem(last=False)
     return periods
@@ -266,21 +260,14 @@ def optimize_schedule(
     m_max: Optional[int] = None,
     include_guideline_start: bool = True,
     cache: Optional[PlanCache] = None,
-    search_engine: str = "batch",
 ) -> OptimizationResult:
     """Ground-truth maximization of E: sweep period counts, multi-start NLPs.
 
     For concave finite-lifespan ``p``, Corollary 5.3 caps the sweep.  Starts
     per ``m``: uniform split, decrement-``c`` ramp, and (optionally) the
     guideline schedule padded/truncated to ``m`` periods.  The guideline
-    start is memoized per ``(p, c, search_engine)``; per count the starts are
-    deduplicated and scored in one batched E evaluation, and the NLPs launch
-    best-first.
-
-    ``search_engine`` selects how the guideline-start ``t_0`` sweep runs —
-    any value :func:`optimize_t0_via_recurrence` accepts (``"batch"`` or
-    ``"scalar"``); it only affects that seeding search, never the NLP
-    itself.
+    start is memoized per ``(p, c)``; per count the starts are deduplicated
+    and scored in one batched E evaluation, and the NLPs launch best-first.
 
     ``cache`` (a :class:`~repro.core.plancache.PlanCache`) memoizes the whole
     result keyed on ``p.fingerprint()`` and the search parameters: a memory
@@ -289,25 +276,19 @@ def optimize_schedule(
     fingerprint bypass the cache.
     """
     if cache is not None:
-        # Only key on a non-default search engine so every cache entry
-        # written before the engine knob existed stays addressable.
-        extras = {"m_max": m_max, "guideline_start": include_guideline_start}
-        if search_engine != "batch":
-            extras["search_engine"] = search_engine
-        key = _plan_key_for(cache, "optimize_schedule", p, c, **extras)
+        key = _plan_key_for(
+            cache, "optimize_schedule", p, c,
+            m_max=m_max, guideline_start=include_guideline_start,
+        )
         from .. import io as _io  # deferred: repro.io imports this module
 
         return cache.get_or_compute(
             key,
-            lambda: _optimize_schedule_impl(
-                p, c, m_max, include_guideline_start, cache, search_engine
-            ),
+            lambda: _optimize_schedule_impl(p, c, m_max, include_guideline_start, cache),
             to_payload=_io.optimization_result_to_dict,
             from_payload=_io.optimization_result_from_dict,
         )
-    return _optimize_schedule_impl(
-        p, c, m_max, include_guideline_start, None, search_engine
-    )
+    return _optimize_schedule_impl(p, c, m_max, include_guideline_start, None)
 
 
 def _optimize_schedule_impl(
@@ -316,7 +297,6 @@ def _optimize_schedule_impl(
     m_max: Optional[int],
     include_guideline_start: bool,
     cache: Optional[PlanCache],
-    search_engine: str = "batch",
 ) -> OptimizationResult:
     lifespan = p.lifespan
     horizon = lifespan if math.isfinite(lifespan) else float(p.inverse(1e-12))
@@ -324,7 +304,7 @@ def _optimize_schedule_impl(
 
     guideline_periods: Optional[FloatArray] = None
     if include_guideline_start:
-        guideline_periods = _guideline_start(p, c, cache=cache, engine=search_engine)
+        guideline_periods = _guideline_start(p, c, cache=cache)
 
     best: Optional[OptimizationResult] = None
     for m in counts:
@@ -369,7 +349,6 @@ def optimize_t0_via_recurrence(
     bracket: Optional[Bracket] = None,
     grid: int = 129,
     widen: float = 1.5,
-    engine: str = "batch",
     cache: Optional[PlanCache] = None,
 ) -> tuple[float, RecurrenceOutcome, float]:
     """Optimize ``t_0`` over the recurrence-generated family (the paper's recipe).
@@ -379,36 +358,29 @@ def optimize_t0_via_recurrence(
     scalar minimizer.  ``E(t_0)`` is continuous but can have kinks where the
     generated period count changes, hence grid-first.
 
-    ``engine`` selects how the grid is swept: ``"batch"`` (default) runs all
-    candidates through one lane-based recurrence
+    The grid runs through one lane-based recurrence
     (:func:`~repro.core.batch_recurrence.generate_schedules_batch`), so the
-    whole grid costs O(max periods) vector steps; ``"scalar"`` walks the grid
-    one :func:`~repro.core.recurrence.generate_schedule` call at a time.
-    Both refine with the scalar recurrence and return identical results up to
-    floating-point noise.  Every evaluated ``t_0`` is cached, so
-    the winner is never recomputed.
+    whole grid costs O(max periods) vector steps; the refinement walks the
+    scalar recurrence (:func:`~repro.core.recurrence.generate_schedule`, the
+    oracle the batch lanes are tested against).  Every evaluated ``t_0`` is
+    cached, so the winner is never recomputed.
 
     ``cache`` memoizes the full ``(t0, outcome, E)`` result keyed on
-    ``(p.fingerprint(), c, bracket, grid, widen, engine)`` — see
+    ``(p.fingerprint(), c, bracket, grid, widen)`` — see
     :mod:`repro.core.plancache`.
 
     Returns ``(t0, recurrence outcome, expected work)``.
     """
-    if engine not in ("batch", "scalar"):
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'batch' or 'scalar'"
-        )
     if cache is not None:
-        key = _plan_key_for(
-            cache, "t0opt", p, c,
-            bracket=None if bracket is None else (bracket.lo, bracket.hi),
-            grid=grid, widen=widen, engine=engine,
+        fingerprint = cache.fingerprint_of(p)
+        key = None if fingerprint is None else _t0_search_key(
+            fingerprint, c, bracket, grid, widen
         )
         from .. import io as _io  # deferred: repro.io imports this module
 
         return cache.get_or_compute(
             key,
-            lambda: optimize_t0_via_recurrence(p, c, bracket, grid, widen, engine),
+            lambda: optimize_t0_via_recurrence(p, c, bracket, grid, widen),
             to_payload=lambda res: _io.t0_search_to_dict(*res),
             from_payload=_io.t0_search_from_dict,
         )
@@ -430,36 +402,30 @@ def optimize_t0_via_recurrence(
     if hi <= lo:
         hi = lo * (1 + 1e-6)
 
-    cache: dict[float, tuple[Optional[RecurrenceOutcome], float]] = {}
+    evaluated: dict[float, tuple[Optional[RecurrenceOutcome], float]] = {}
 
     def evaluate(t0: float) -> tuple[Optional[RecurrenceOutcome], float]:
-        if t0 not in cache:
+        if t0 not in evaluated:
             if t0 <= c:
-                cache[t0] = (None, -math.inf)
+                evaluated[t0] = (None, -math.inf)
             else:
                 try:
                     outcome = generate_schedule(p, c, t0)
                 except InvalidScheduleError:
-                    cache[t0] = (None, -math.inf)
+                    evaluated[t0] = (None, -math.inf)
                 else:
-                    cache[t0] = (outcome, outcome.schedule.expected_work(p, c))
-        return cache[t0]
+                    evaluated[t0] = (outcome, outcome.schedule.expected_work(p, c))
+        return evaluated[t0]
 
     ts = np.linspace(lo, hi, grid)
-    if engine == "batch":
-        batch = generate_schedules_batch(p, c, ts)
-        values = batch.expected_work.copy()
-        k = int(np.argmax(values))
-        # Seed the cache with the grid winner's outcome, rescored the scalar
-        # way so the returned E matches the scalar engine bit-for-bit.
-        out_k = batch.outcome(k)
-        cache[float(ts[k])] = (out_k, out_k.schedule.expected_work(p, c))
-        values[k] = cache[float(ts[k])][1]
-    else:
-        values = np.full(grid, -math.inf)
-        for i, t in enumerate(ts):
-            _, values[i] = evaluate(float(t))
-        k = int(np.argmax(values))
+    batch = generate_schedules_batch(p, c, ts)
+    values = batch.expected_work.copy()
+    k = int(np.argmax(values))
+    # Seed the memo with the grid winner's outcome, rescored the scalar way
+    # so the returned E is bit-for-bit the scalar recurrence's.
+    out_k = batch.outcome(k)
+    evaluated[float(ts[k])] = (out_k, out_k.schedule.expected_work(p, c))
+    values[k] = evaluated[float(ts[k])][1]
     ref_lo = float(ts[max(0, k - 1)])
     ref_hi = float(ts[min(grid - 1, k + 1)])
     res = minimize_scalar(
@@ -469,9 +435,26 @@ def optimize_t0_via_recurrence(
         options={"xatol": 1e-12},
     )
     t0 = float(res.x) if -float(res.fun) >= values[k] else float(ts[k])
-    outcome, ew = evaluate(t0)  # cache hit: the winner is never regenerated
-    if outcome is None:
-        raise InvalidScheduleError(
-            f"no valid schedule on t0 grid [{lo:.6g}, {hi:.6g}] for {p!r} with c={c}"
-        )
+    outcome, ew = evaluate(t0)  # memo hit: the winner is never regenerated
     return t0, outcome, ew
+
+
+def _t0_search_key(
+    fingerprint: str,
+    c: float,
+    bracket: Optional[Bracket] = None,
+    grid: int = 129,
+    widen: float = 1.5,
+) -> str:
+    """The plan-cache key of one :func:`optimize_t0_via_recurrence` query.
+
+    ``fingerprint`` is the life function's content address
+    (:meth:`~repro.core.plancache.PlanCache.fingerprint_of`).  The serving
+    cache tier peeks the key the optimizer tier writes, so both build it here.
+    """
+    return plan_key(
+        "t0opt", fingerprint, c,
+        bracket=None if bracket is None else (bracket.lo, bracket.hi),
+        # engine=batch stays in the key so earlier disk entries stay addressable.
+        grid=grid, widen=widen, engine="batch",
+    )

@@ -13,8 +13,7 @@ This module provides:
   disk tier (JSON files with atomic writes, a versioned schema, and
   corruption-tolerant loads).  Keys combine a life function's
   :meth:`~repro.core.life_functions.LifeFunction.fingerprint` with the
-  overhead ``c``, the search tolerances, and the engine — see
-  :func:`plan_key`.
+  overhead ``c`` and the search tolerances — see :func:`plan_key`.
 * :class:`CacheStats` — hit / miss / time counters, exposed per cache.
 * :func:`default_plan_cache` — a process-wide cache shared by the CLI and by
   sweep workers, and :func:`default_cache_dir` — the conventional on-disk
@@ -83,7 +82,7 @@ def plan_key(op: str, fingerprint: str, c: float, **extras: Any) -> str:
     """Build a cache key: operation + content address + overhead + tolerances.
 
     ``extras`` carries whatever parameters change the answer (grid, widen,
-    engine, m_max, ...); they are sorted by name so call sites cannot
+    m_max, ...); they are sorted by name so call sites cannot
     accidentally produce distinct keys for identical queries.
     """
     parts = [op, fingerprint, f"c={_canon(float(c))}"]

@@ -48,7 +48,7 @@ from ..exceptions import (
     PlanServingError,
 )
 from .life_functions import LifeFunction
-from .optimizer import optimize_t0_via_recurrence
+from .optimizer import _t0_search_key, optimize_t0_via_recurrence
 from .plancache import PlanCache, plan_key
 from .recurrence import generate_schedule
 from .schedule import Schedule
@@ -309,12 +309,6 @@ class PlanServer:
 
     #: Tier order: cheapest-first, most-robust-last.
     TIERS = ("table", "cache", "optimizer", "guideline")
-
-    #: Defaults matching ``optimize_t0_via_recurrence`` so the cache tier
-    #: peeks the same content-addressed key the optimizer writes.
-    _SEARCH_GRID = 129
-    _SEARCH_WIDEN = 1.5
-    _SEARCH_ENGINE = "batch"
 
     def __init__(
         self,
@@ -606,11 +600,7 @@ class PlanServer:
         fingerprint = PlanCache.fingerprint_of(p)
         if fingerprint is None:
             raise _TierMiss("life function is not content-addressable")
-        key = plan_key(
-            "t0opt", fingerprint, c,
-            bracket=None, grid=self._SEARCH_GRID,
-            widen=self._SEARCH_WIDEN, engine=self._SEARCH_ENGINE,
-        )
+        key = _t0_search_key(fingerprint, c)
         from .. import io as _io  # deferred: repro.io imports core modules
 
         cached = self.cache.peek(key, from_payload=_io.t0_search_from_dict)
@@ -628,11 +618,7 @@ class PlanServer:
     ) -> ServedPlan:
         """Run the full ``t_0`` search (re-warming the cache when present)."""
         try:
-            t0, outcome, ew = optimize_t0_via_recurrence(
-                p, c,
-                grid=self._SEARCH_GRID, widen=self._SEARCH_WIDEN,
-                engine=self._SEARCH_ENGINE, cache=self.cache,
-            )
+            t0, outcome, ew = optimize_t0_via_recurrence(p, c, cache=self.cache)
         except CycleStealingError as exc:
             raise _TierMiss(str(exc)) from exc
         return ServedPlan(

@@ -79,15 +79,13 @@ def estimate_episode_value(
     c: float,
     n: int = 100_000,
     rng: Optional[np.random.Generator] = None,
-    engine: str = "vectorized",
 ) -> MCEstimate:
     """Monte-Carlo counterpart of :func:`episode_value`.
 
     Simulates ``n`` draconian episodes of the station's guideline schedule
-    against its life function on the selected engine (``"vectorized"`` or
-    ``"scalar"``; same seed contract and therefore identical results) and
-    scales by the station's speed.  Stations the guideline scheduler rejects
-    are worth exactly 0, with zero uncertainty.
+    against its life function and scales by the station's speed.  Stations
+    the guideline scheduler rejects are worth exactly 0, with zero
+    uncertainty.
 
     RNG contract: delegates to
     :func:`repro.simulation.estimate_expected_work` — one
@@ -97,9 +95,7 @@ def estimate_episode_value(
         result = guideline_schedule(profile.life, c, grid=65)
     except CycleStealingError:
         return MCEstimate(mean=0.0, stderr=0.0, n=n)
-    est = estimate_expected_work(
-        result.schedule, profile.life, c, n=n, rng=rng, engine=engine
-    )
+    est = estimate_expected_work(result.schedule, profile.life, c, n=n, rng=rng)
     return MCEstimate(
         mean=est.mean * profile.speed, stderr=est.stderr * profile.speed, n=est.n
     )
@@ -110,7 +106,6 @@ def estimate_steal_rate(
     c: float,
     n: int = 100_000,
     rng: Optional[np.random.Generator] = None,
-    engine: str = "vectorized",
 ) -> MCEstimate:
     """Monte-Carlo counterpart of :func:`steal_rate` (renewal-reward form).
 
@@ -119,7 +114,7 @@ def estimate_steal_rate(
     """
     mean_absent = profile.life.expected_lifetime()
     cycle = profile.mean_present + mean_absent
-    est = estimate_episode_value(profile, c, n=n, rng=rng, engine=engine)
+    est = estimate_episode_value(profile, c, n=n, rng=rng)
     return MCEstimate(mean=est.mean / cycle, stderr=est.stderr / cycle, n=est.n)
 
 

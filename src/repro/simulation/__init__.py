@@ -1,17 +1,16 @@
 """Episode-level simulation: Monte-Carlo validation of the model semantics.
 
-Exports batched episode simulation (Section 2.1 accounting) behind two
-interchangeable engines — the NumPy batch engine
-(:mod:`repro.simulation.vectorized`) and the per-episode reference loop
-(:mod:`repro.simulation.scalar`) — plus Monte-Carlo expected-work estimation
-with confidence intervals, the differential-testing harness that keeps the
-engines honest (:mod:`repro.simulation.testing`), and the discrete task-grid
-quantization analysis of Section 6's open question.
+Exports batched episode simulation (Section 2.1 accounting) on the NumPy
+batch engine (:mod:`repro.simulation.vectorized`), the per-episode reference
+loops it is checked against (:mod:`repro.simulation.scalar`, called by name),
+Monte-Carlo expected-work estimation with confidence intervals, the
+differential-testing harness that keeps the fast engine honest
+(:mod:`repro.simulation.testing`), and the discrete task-grid quantization
+analysis of Section 6's open question.
 """
 
 from .discrete import DiscretizationReport, discretization_report, discretize_schedule
 from .episode import (
-    ENGINES,
     EpisodeBatch,
     completed_periods,
     realized_work,
@@ -26,7 +25,6 @@ from .vectorized import (
 )
 
 __all__ = [
-    "ENGINES",
     "EpisodeBatch",
     "completed_periods",
     "realized_work",

@@ -10,14 +10,14 @@ Running schedule ``S = t_0, t_1, ...`` against the episode banks
 ``T_i``; the interrupted period (and everything after) is lost, which is
 exactly the accounting behind eq. (2.1): ``E[work(S, R)] = E(S; p)``.
 
-Batch simulation is delegated to one of two interchangeable engines (see
-:func:`simulate_episodes`): the default ``"vectorized"`` engine
-(:mod:`repro.simulation.vectorized`) runs a batch in O(periods) NumPy steps,
-while the ``"scalar"`` engine (:mod:`repro.simulation.scalar`) is the
-loop-per-episode reference transcription of §2.1 used as the differential-
-testing oracle.  Both obey the same RNG-consumption contract — one
-``p.sample_reclaim_times(rng, n)`` call per batch — so identical generator
-state gives bit-identical episode outcomes from either engine.
+:func:`simulate_episodes` runs a batch on the NumPy engine
+(:mod:`repro.simulation.vectorized`) in O(periods) array steps.  The
+loop-per-episode transcription of §2.1,
+:func:`~repro.simulation.scalar.simulate_episodes_scalar`, is the oracle the
+differential tests (:mod:`repro.simulation.testing`) check it against; it is
+called by name, never selected by an option.  Both obey the same
+RNG-consumption contract — one ``p.sample_reclaim_times(rng, n)`` call per
+batch — so identical generator state gives bit-identical episode outcomes.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ __all__ = [
     "completed_periods",
     "simulate_episodes",
     "EpisodeBatch",
-    "ENGINES",
 ]
-
-#: The interchangeable batch-simulation engines, in preference order; both
-#: are bit-identical under the shared RNG contract.
-ENGINES = ("vectorized", "scalar")
 
 
 def completed_periods(schedule: Schedule, reclaim_times: ArrayLike) -> np.ndarray:
@@ -91,7 +86,6 @@ def simulate_episodes(
     c: float,
     n: int,
     rng: np.random.Generator,
-    engine: str = "vectorized",
 ) -> EpisodeBatch:
     """Sample ``n`` episodes of the given life function and run the schedule.
 
@@ -100,23 +94,10 @@ def simulate_episodes(
     closed-form inverse (all Section 4 families do).
 
     RNG contract: exactly one ``p.sample_reclaim_times(rng, n)`` call per
-    invocation, regardless of ``engine`` — the per-episode outcomes are
-    bit-identical across engines for the same generator state.
-
-    Parameters
-    ----------
-    engine:
-        ``"vectorized"`` (default, O(periods) NumPy steps) or ``"scalar"``
-        (the per-episode reference loop; orders of magnitude slower).
+    invocation — the per-episode outcomes are bit-identical to
+    :func:`~repro.simulation.scalar.simulate_episodes_scalar`'s for the same
+    generator state.
     """
-    if n < 1:
-        raise ValueError(f"need at least one episode, got n={n}")
-    if engine == "vectorized":
-        from .vectorized import simulate_episodes_vectorized
+    from .vectorized import simulate_episodes_vectorized  # imports this module
 
-        return simulate_episodes_vectorized(schedule, p, c, n, rng)
-    if engine == "scalar":
-        from .scalar import simulate_episodes_scalar
-
-        return simulate_episodes_scalar(schedule, p, c, n, rng)
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    return simulate_episodes_vectorized(schedule, p, c, n, rng)

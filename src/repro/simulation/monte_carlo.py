@@ -3,13 +3,12 @@
 Validates the analytic eq. (2.1) — experiment EV-MC — and evaluates policies
 (progressive, baselines) whose expected work has no closed form.
 
-Both estimators accept an ``engine`` argument selecting the batch simulation
-backend: ``"vectorized"`` (NumPy batch engine, the fast default for
-schedules) or ``"scalar"`` (the per-episode reference loop).  Under the
-shared seed contract — one ``p.sample_reclaim_times(rng, batch)`` call per
-batch, episodes in draw order — the engines produce *identical* episode
-outcomes for an identical generator state, so switching engines never
-changes an estimate, only its wall-clock cost.
+Schedules run on the NumPy batch engine (:func:`simulate_episodes`); online
+policies run episode by episode on the scalar loop, the one path that
+tolerates episode-stateful policies.  Under the shared seed contract — one
+``p.sample_reclaim_times(rng, batch)`` call per batch, episodes in draw
+order — the NumPy engines and their scalar oracles produce *identical*
+episode outcomes for an identical generator state.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ import numpy as np
 
 from ..core.life_functions import LifeFunction
 from ..core.schedule import Schedule
-from .episode import ENGINES, simulate_episodes
+from .episode import simulate_episodes
+from .scalar import simulate_policy_episodes_scalar
 
 __all__ = ["MCEstimate", "estimate_expected_work", "estimate_policy_work"]
 
@@ -78,7 +78,6 @@ def estimate_expected_work(
     n: int = 100_000,
     rng: Optional[np.random.Generator] = None,
     batch_size: int = 1_000_000,
-    engine: str = "vectorized",
 ) -> MCEstimate:
     """Estimate ``E(S; p)`` by simulating ``n`` independent episodes.
 
@@ -86,8 +85,8 @@ def estimate_expected_work(
     is the plain sample mean (unbiased), with the usual ``s/sqrt(n)`` error.
 
     RNG contract: ``ceil(n / batch_size)`` calls of
-    ``p.sample_reclaim_times(rng, batch)``, in order — independent of the
-    engine, so the estimate is a function of ``(seed, n, batch_size)`` only.
+    ``p.sample_reclaim_times(rng, batch)``, in order, so the estimate is a
+    function of ``(seed, n, batch_size)`` only.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -96,7 +95,7 @@ def estimate_expected_work(
     done = 0
     while done < n:
         take = min(batch_size, n - done)
-        batch = simulate_episodes(schedule, p, c, take, rng, engine=engine)
+        batch = simulate_episodes(schedule, p, c, take, rng)
         total += float(batch.work.sum())
         total_sq += float(np.dot(batch.work, batch.work))
         done += take
@@ -113,7 +112,6 @@ def estimate_policy_work(
     n: int = 10_000,
     rng: Optional[np.random.Generator] = None,
     max_periods: int = 100_000,
-    engine: str = "scalar",
 ) -> MCEstimate:
     """Estimate expected work of an *online* policy.
 
@@ -123,25 +121,20 @@ def estimate_policy_work(
     all ``n`` episodes, so the policy must be a deterministic function of
     ``elapsed`` for the estimate to mean anything.
 
-    The default ``"scalar"`` engine simulates episodes one at a time and
-    tolerates policies with benign statefulness (e.g. call counters).  The
-    ``"vectorized"`` engine unrolls the policy *once* (out to the latest
-    sampled reclaim time) and scores all episodes in NumPy — pick it for
-    large ``n`` with elapsed-deterministic policies; it matches the scalar
-    engine bit-for-bit for such policies.
+    Episodes run one at a time on the scalar loop
+    (:func:`~repro.simulation.scalar.simulate_policy_episodes_scalar`), which
+    tolerates policies with benign statefulness (e.g. call counters).  For
+    large ``n`` with an elapsed-deterministic policy,
+    :func:`~repro.simulation.vectorized.simulate_policy_episodes_vectorized`
+    unrolls the policy once and scores every episode in NumPy, bit-for-bit
+    equal to the scalar loop under the same generator state.
 
     RNG contract: one ``p.sample_reclaim_times(rng, n)`` call, episodes in
-    draw order — identical for every engine.
+    draw order.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if engine == "scalar":
-        from .scalar import simulate_policy_episodes_scalar as impl
-    elif engine == "vectorized":
-        from .vectorized import simulate_policy_episodes_vectorized as impl
-    else:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    batch = impl(policy, p, c, n, rng, max_periods=max_periods)
+    batch = simulate_policy_episodes_scalar(policy, p, c, n, rng, max_periods=max_periods)
     works = batch.work
     mean = float(works.mean())
     stderr = float(works.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

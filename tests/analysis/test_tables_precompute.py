@@ -37,6 +37,16 @@ def uniform_table() -> GuidelineTable:
     )
 
 
+@pytest.fixture(scope="module")
+def poly_table() -> GuidelineTable:
+    return precompute_table(
+        "poly",
+        c_grid=np.geomspace(1.0, 4.0, 3),
+        param_grid=np.geomspace(80.0, 320.0, 3),
+        search_grid=33,
+    )
+
+
 def _rows(table: GuidelineTable, rows: list) -> GuidelineTable:
     """``table`` restricted to the ``c_grid`` rows ``rows``, in that order."""
     return replace(table, c_grid=table.c_grid[rows], t0=table.t0[rows],
@@ -247,6 +257,27 @@ class TestServer:
         table_server = TableServer(cache_dir=tmp_path)
         assert table_server.table("geominc") is None
         assert _chain(table_server).serve("geominc", 2.0, 100.0).source == "optimizer"
+
+    def test_table_with_other_fixed_parameters_rejected(self, poly_table):
+        """A d = 2 poly table would serve plans the other tiers (d = 3) do not."""
+        assert poly_table.fixed == (("d", 3.0),)
+        with pytest.raises(PlanCacheError, match="fixed parameters"):
+            TableServer().add_table(replace(poly_table, fixed=(("d", 2.0),)))
+
+    def test_table_of_unknown_family_rejected(self, uniform_table):
+        with pytest.raises(PlanCacheError, match="TABLE_FAMILIES"):
+            TableServer().add_table(replace(uniform_table, family="weibull"))
+
+    def test_table_file_with_other_fixed_parameters_falls_back(self, poly_table,
+                                                                tmp_path):
+        save_table(replace(poly_table, fixed=(("d", 2.0),)), table_path(tmp_path, "poly"))
+        table_server = TableServer(cache_dir=tmp_path)
+        assert table_server.table("poly") is None
+        c, L = float(poly_table.c_grid[1]), float(poly_table.param_grid[1])
+        answer = _chain(table_server).serve("poly", c, L)
+        assert answer.source == "optimizer"
+        t0, _, ew = optimize_t0_via_recurrence(make_family_life("poly", L), c)
+        assert (answer.t0, answer.expected_work) == (t0, ew)
 
     def test_warm_persists_and_reloads(self, tmp_path):
         grids = {"geominc": (np.geomspace(0.5, 2.0, 3), np.geomspace(15.0, 60.0, 3))}

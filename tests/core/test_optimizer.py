@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.batch_recurrence import generate_schedules_batch
 from repro.core.exact import (
     geometric_decreasing_optimal_work,
     uniform_optimal_schedule,
@@ -25,7 +26,7 @@ from repro.core.optimizer import (
     optimize_schedule,
     optimize_t0_via_recurrence,
 )
-from repro.exceptions import InvalidScheduleError
+from repro.core.recurrence import generate_schedule
 
 
 class _GeneralUniform(UniformRisk):
@@ -155,20 +156,29 @@ class TestT0Recurrence:
         ],
         ids=["uniform", "poly3", "geomdec", "geominc"],
     )
-    def test_engines_agree(self, p, c):
-        """Batch and scalar grid sweeps pick the same t0 and schedule."""
-        tb, ob, eb = optimize_t0_via_recurrence(p, c, engine="batch")
-        ts_, os_, es = optimize_t0_via_recurrence(p, c, engine="scalar")
-        assert tb == pytest.approx(ts_, rel=1e-12, abs=1e-12)
-        assert eb == pytest.approx(es, rel=1e-12)
-        assert ob.schedule.num_periods == os_.schedule.num_periods
-        assert ob.termination is os_.termination
-        np.testing.assert_allclose(ob.schedule.periods, os_.schedule.periods,
-                                   rtol=1e-12, atol=1e-12)
+    def test_engines_agree(self, p, c, monkeypatch):
+        """The batch sweep agrees with the scalar recurrence oracle: every
+        grid point's score to 1e-12, and the returned plan exactly."""
+        import repro.core.optimizer as opt
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            optimize_t0_via_recurrence(UniformRisk(100.0), 1.0, engine="warp")
+        sweeps = []
+
+        def recording(p_, c_, ts, **kw):
+            batch = generate_schedules_batch(p_, c_, ts, **kw)
+            sweeps.append((np.array(ts), batch.expected_work.copy()))
+            return batch
+
+        monkeypatch.setattr(opt, "generate_schedules_batch", recording)
+        t0, outcome, ew = optimize_t0_via_recurrence(p, c)
+        [(ts, scores)] = sweeps
+        for t, score in zip(ts, scores):
+            oracle = generate_schedule(p, c, float(t)).schedule.expected_work(p, c)
+            assert score == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+        oracle = generate_schedule(p, c, t0)
+        np.testing.assert_array_equal(outcome.schedule.periods, oracle.schedule.periods)
+        np.testing.assert_array_equal(outcome.targets, oracle.targets)
+        assert outcome.termination is oracle.termination
+        assert ew == oracle.schedule.expected_work(p, c)
 
     def test_winner_not_recomputed(self, monkeypatch):
         """The returned t0's schedule comes from the cache, not a re-walk."""
@@ -187,17 +197,6 @@ class TestT0Recurrence:
         # final (t0, outcome, ew) came from the cache, never a repeat call.
         assert len(calls) == len(set(calls))
         assert ew == pytest.approx(outcome.schedule.expected_work(UniformRisk(200.0), 2.0))
-
-    def test_no_valid_schedule_raises_invalid(self, monkeypatch):
-        """A grid with no valid lane raises InvalidScheduleError, not assert."""
-        import repro.core.optimizer as opt
-
-        def explode(p, c, t0, **kw):
-            raise InvalidScheduleError("forced failure")
-
-        monkeypatch.setattr(opt, "generate_schedule", explode)
-        with pytest.raises(InvalidScheduleError):
-            optimize_t0_via_recurrence(UniformRisk(100.0), 1.0, engine="scalar")
 
 
 class TestCandidatePeriodCounts:

@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import plancache
-from repro.core.optimizer import _guideline_start_cache, _guideline_start
+from repro.core.optimizer import (
+    _guideline_start,
+    _guideline_start_cache,
+    _t0_search_key,
+)
 from repro.core.plancache import (
     CACHE_SCHEMA_VERSION,
     CacheStats,
@@ -21,6 +25,7 @@ from repro.core.plancache import (
     plan_key,
     reset_default_plan_cache,
 )
+from repro.core.serving import PlanServer
 from repro.core.uniqueness import scan_t0_landscape
 from repro.exceptions import PlanCacheError
 
@@ -122,6 +127,40 @@ class TestCachedOptimizers:
         assert cache.stats.hits >= 1
         np.testing.assert_array_equal(cold.schedule.periods, warm.schedule.periods)
         assert cold.expected_work == warm.expected_work
+
+    def test_t0opt_key_bytes_pinned(self):
+        """The t0 search's key keeps its bytes, its engine field included, so
+        disk entries written before the search lost its engine switch stay
+        addressable; the serving cache tier peeks the same key."""
+        key = (
+            "t0opt|UniformRisk(d=0x1.0000000000000p+0,L=0x1.9000000000000p+6)"
+            "|linear|c=0x1.0000000000000p+0|bracket=~|engine=batch|grid=129"
+            "|widen=0x1.8000000000000p+0"
+        )
+        p = repro.UniformRisk(100.0)
+        cache = PlanCache()
+        repro.optimize_t0_via_recurrence(p, 1.0, cache=cache)
+        assert list(cache._mem) == [key]
+        assert _t0_search_key(p.fingerprint(), 1.0) == key
+        answer = PlanServer(cache=cache).serve("uniform", 1.0, 100.0)
+        assert answer.source == "cache"
+
+    def test_t0opt_key_bytes_pinned_with_bracket(self):
+        """An explicit bracket, grid and widen keep their key bytes too."""
+        from repro.types import Bracket
+
+        key = (
+            "t0opt|PolynomialRisk(d=0x1.8000000000000p+1,L=0x1.2c00000000000p+8)"
+            "|concave|c=0x1.0000000000000p+1"
+            "|bracket=[0x1.4000000000000p+4;0x1.6800000000000p+6]|engine=batch"
+            "|grid=65|widen=0x1.4000000000000p+0"
+        )
+        p, bracket = repro.PolynomialRisk(3, 300.0), Bracket(20.0, 90.0)
+        cache = PlanCache()
+        repro.optimize_t0_via_recurrence(p, 2.0, bracket, grid=65, widen=1.25,
+                                         cache=cache)
+        assert list(cache._mem) == [key]
+        assert _t0_search_key(p.fingerprint(), 2.0, bracket, grid=65, widen=1.25) == key
 
     def test_t0opt_rides_cache(self):
         cache = PlanCache()

@@ -8,6 +8,8 @@ import pytest
 import repro
 from repro.cli import build_parser, main, make_life_function
 from repro.core.plancache import reset_default_plan_cache
+from repro.core.recurrence import generate_schedule
+from repro.simulation import simulate_episodes_scalar
 
 
 class TestParsing:
@@ -61,26 +63,26 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["fit", str(path), "--c", "0.5"])
 
-    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
-    def test_mc_engines(self, capsys, engine):
+    def test_mc(self, capsys):
         status = main(["mc", "--family", "uniform", "--lifespan", "100",
-                       "--c", "2", "--n", "20000", "--engine", engine])
+                       "--c", "2", "--n", "20000"])
         assert status == 0
         out = capsys.readouterr().out
-        assert f"engine        : {engine}" in out
+        assert "episodes      : n = 20,000, seed = 0" in out
+        assert "engine" not in out
         assert "consistent    : True" in out
 
     def test_mc_engines_identical_output(self, capsys):
-        """Same seed => both engines print the same estimate."""
+        """The printed estimate is the scalar oracle's mean under ``--seed``."""
         main(["mc", "--family", "geominc", "--lifespan", "30", "--c", "1",
-              "--n", "10000", "--engine", "vectorized"])
-        vec = capsys.readouterr().out
-        main(["mc", "--family", "geominc", "--lifespan", "30", "--c", "1",
-              "--n", "10000", "--engine", "scalar"])
-        sca = capsys.readouterr().out
-        pick = lambda txt: [l for l in txt.splitlines()
-                            if l.startswith(("MC mean", "analytic", "|z|"))]
-        assert pick(vec) == pick(sca)
+              "--n", "10000", "--seed", "3"])
+        out = capsys.readouterr().out
+        p = repro.GeometricIncreasingRisk(30.0)
+        schedule = repro.guideline_schedule(p, 1.0).schedule
+        work = simulate_episodes_scalar(
+            schedule, p, 1.0, 10_000, np.random.default_rng(3)
+        ).work
+        assert f"MC mean       : {float(work.sum()) / 10_000:.6g} ± " in out
 
     def test_mc_confidence_flag(self, capsys):
         status = main(["mc", "--family", "uniform", "--lifespan", "100",
@@ -88,27 +90,26 @@ class TestParsing:
         assert status == 0
         assert "99% CI" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["batch", "scalar"])
-    def test_t0opt_engines(self, capsys, engine):
+    def test_t0opt(self, capsys):
         status = main(["t0opt", "--family", "uniform", "--lifespan", "400",
-                       "--c", "2", "--engine", engine])
+                       "--c", "2"])
         assert status == 0
         out = capsys.readouterr().out
-        assert f"engine        : {engine}" in out
+        assert "engine" not in out
         for label in ("t0 chosen", "periods", "termination", "expected work"):
             assert label in out
 
     def test_t0opt_engines_identical_output(self, capsys):
-        """Both search engines print the same t0/periods/E."""
-        main(["t0opt", "--family", "geominc", "--lifespan", "30", "--c", "1",
-              "--engine", "batch"])
-        batch = capsys.readouterr().out
-        main(["t0opt", "--family", "geominc", "--lifespan", "30", "--c", "1",
-              "--engine", "scalar"])
-        scalar = capsys.readouterr().out
-        pick = lambda txt: [l for l in txt.splitlines()
-                            if l.startswith(("t0 chosen", "periods", "expected"))]
-        assert pick(batch) == pick(scalar)
+        """The printed plan is the scalar recurrence's at the chosen t0."""
+        main(["t0opt", "--family", "geominc", "--lifespan", "30", "--c", "1"])
+        out = capsys.readouterr().out
+        p = repro.GeometricIncreasingRisk(30.0)
+        t0, _, _ = repro.optimize_t0_via_recurrence(p, 1.0)
+        oracle = generate_schedule(p, 1.0, t0)
+        assert f"t0 chosen     : {t0:.6g}\n" in out
+        assert f"periods       : {oracle.schedule.num_periods}\n" in out
+        assert f"termination   : {oracle.termination.value}\n" in out
+        assert f"expected work : {oracle.schedule.expected_work(p, 1.0):.6g}\n" in out
 
     def test_t0opt_grid_flag(self, capsys):
         status = main(["t0opt", "--family", "geomdec", "--a", "1.2",
@@ -128,8 +129,7 @@ class TestParsing:
         ["fleet", "--quick"],
     ], ids=["mc", "t0opt", "servebench", "fleet"])
     def test_jit_engine_rejected(self, capsys, argv):
-        """``--engine jit`` is an argparse error: not a choice for ``mc`` and
-        ``t0opt``, not a flag at all for ``servebench`` and ``fleet``."""
+        """``--engine jit`` is an argparse error: no command has the flag."""
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--engine", "jit"])
         assert exc.value.code == 2

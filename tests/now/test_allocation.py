@@ -16,6 +16,7 @@ from repro.now.allocation import (
     select_stations,
     steal_rate,
 )
+from repro.simulation import simulate_episodes_scalar
 
 
 def _profile(ws_id, life, present=10.0, speed=1.0):
@@ -60,11 +61,16 @@ class TestStealRate:
 class TestMonteCarloEstimators:
     @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_episode_value_consistent_with_analytic(self, engine):
+        """The estimate, and (same seed) the scalar oracle's mean work x speed."""
         p = repro.UniformRisk(100.0)
         prof = _profile(0, p, speed=2.0)
-        est = estimate_episode_value(
-            prof, 2.0, n=40_000, rng=np.random.default_rng(5), engine=engine
-        )
+        est = estimate_episode_value(prof, 2.0, n=40_000, rng=np.random.default_rng(5))
+        if engine == "scalar":
+            schedule = repro.guideline_schedule(p, 2.0, grid=65).schedule
+            work = simulate_episodes_scalar(
+                schedule, p, 2.0, 40_000, np.random.default_rng(5)
+            ).work
+            assert est.mean == float(work.sum()) / 40_000 * 2.0
         assert est.consistent_with(episode_value(prof, 2.0))
         assert est.stderr > 0.0
 

@@ -45,11 +45,13 @@ def test_start_absent_matches_analytic_expectation():
             [Workstation(0, OwnerProcess.from_life_function(p, present_mean=1e9))],
             c=c,
         )
-        pool = TaskPool.from_durations(uniform_tasks(10_000, 0.0625))
+        # [10, 8, 6] banks at most 24 units (384 tasks); 1,024 never run dry.
+        pool = TaskPool.from_durations(uniform_tasks(1_024, 0.0625))
         result = run_farm(
             net, pool, lambda ws: SchedulePolicy(sched), 1e6,
             np.random.default_rng(seed), start_absent=True,
         )
+        assert not result.finished  # the pool size never binds
         works.append(result.total_work_done)
     mean = float(np.mean(works))
     analytic = sched.expected_work(p, c)

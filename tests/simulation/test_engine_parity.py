@@ -26,7 +26,9 @@ from repro.core.life_functions import (
     WeibullLife,
 )
 from repro.core.schedule import Schedule
-from repro.simulation.monte_carlo import estimate_expected_work, estimate_policy_work
+from repro.simulation.monte_carlo import estimate_expected_work
+from repro.simulation.scalar import simulate_policy_episodes_scalar
+from repro.simulation.vectorized import simulate_policy_episodes_vectorized
 from repro.simulation.testing import reference_schedule, statistical_parity
 
 #: family label -> life-function instance (the matrix's rows).
@@ -75,16 +77,16 @@ def _assert_schedule_cell(family: str, sched: str, n: int) -> None:
 def _assert_policy_cell(family: str, pol: str, n: int) -> None:
     p = MATRIX_FAMILIES[family]
     c = 0.5
-    a = estimate_policy_work(
-        MATRIX_POLICIES[pol](p, c), p, c, n=n,
-        rng=np.random.default_rng(303), max_periods=5_000, engine="scalar",
-    )
-    b = estimate_policy_work(
-        MATRIX_POLICIES[pol](p, c), p, c, n=n,
-        rng=np.random.default_rng(404), max_periods=5_000, engine="vectorized",
-    )
-    se = math.hypot(a.stderr, b.stderr)
-    z = abs(a.mean - b.mean) / max(se, 1e-15)
+    a = simulate_policy_episodes_scalar(
+        MATRIX_POLICIES[pol](p, c), p, c, n, np.random.default_rng(303),
+        max_periods=5_000,
+    ).work
+    b = simulate_policy_episodes_vectorized(
+        MATRIX_POLICIES[pol](p, c), p, c, n, np.random.default_rng(404),
+        max_periods=5_000,
+    ).work
+    se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
+    z = abs(a.mean() - b.mean()) / max(se, 1e-15)
     assert z < 4.0, f"{family} x {pol}: policy engine means differ by {z:.2f} SE"
 
 

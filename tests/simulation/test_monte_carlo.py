@@ -77,14 +77,6 @@ class TestExpectedWorkValidation:
         b = estimate_expected_work(s, p, 1.0, n=10_000)
         assert a.mean == b.mean
 
-    def test_unknown_engine_rejected(self):
-        p = UniformRisk(40.0)
-        s = Schedule([10.0, 7.0])
-        with pytest.raises(ValueError, match="unknown engine"):
-            estimate_expected_work(s, p, 1.0, n=100, engine="quantum")
-        with pytest.raises(ValueError, match="unknown engine"):
-            estimate_policy_work(lambda e: 2.0, p, 1.0, n=10, engine="quantum")
-
 
 class TestPolicyWork:
     def test_fixed_policy_matches_schedule(self, rng):
